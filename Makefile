@@ -29,7 +29,7 @@ race:
 # Execute the fuzz seed corpora as regression tests (no fuzzing time;
 # use `go test -fuzz FuzzReadFrame ./internal/remote` to actually fuzz).
 fuzz:
-	$(GO) test -run Fuzz ./internal/remote ./internal/attest ./internal/core ./internal/trace/pipeline ./internal/router
+	$(GO) test -run Fuzz ./internal/remote ./internal/attest ./internal/core ./internal/trace/pipeline
 
 # Short coverage-guided fuzzing of every target (one at a time: the Go
 # fuzzer allows a single -fuzz pattern per package invocation). 30s per
@@ -40,11 +40,11 @@ fuzz-smoke: fuzz
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/remote
 	$(GO) test -run xxx -fuzz FuzzParseBusy -fuzztime $(FUZZTIME) ./internal/remote
 	$(GO) test -run xxx -fuzz FuzzDecodeVerdict -fuzztime $(FUZZTIME) ./internal/remote
+	$(GO) test -run xxx -fuzz FuzzParseHelloID -fuzztime $(FUZZTIME) ./internal/remote
 	$(GO) test -run xxx -fuzz FuzzDecodeReport -fuzztime $(FUZZTIME) ./internal/attest
 	$(GO) test -run xxx -fuzz FuzzDecodeChallenge -fuzztime $(FUZZTIME) ./internal/attest
 	$(GO) test -run xxx -fuzz FuzzAutomatonDifferential -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzPipelineDecode -fuzztime $(FUZZTIME) ./internal/trace/pipeline
-	$(GO) test -run xxx -fuzz FuzzRouterHello -fuzztime $(FUZZTIME) ./internal/router
 
 # Regenerate the checked-in seed corpora under testdata/fuzz/.
 fuzz-corpus:
@@ -109,10 +109,9 @@ bench-smoke:
 bench-verify:
 	$(GO) run ./cmd/benchsuite -fig verify -out BENCH_verify.json
 
-# Fleet-scale attestation plane benchmark: differential (sharded vs
-# single-gateway verdicts bit-identical), capacity scaling at 1/2/4
-# shards, a 10k-prover diurnal wave + firmware-push herd, and a
-# cross-shard cache-warming probe. The pinned -smoke profile finishes
+# Fleet-scale benchmark against one gateway: capacity scaling over a
+# slot sweep (8/16/32 slots) on latency-shaped links, then a 10k-prover
+# diurnal wave + firmware-push herd. The pinned -smoke profile finishes
 # inside a minute on one core; CI uploads BENCH_fleet.json per-PR.
 bench-fleet:
 	$(GO) run ./cmd/fleetsim -smoke -out BENCH_fleet.json

@@ -33,7 +33,7 @@ import (
 	"raptrack/internal/remote"
 	"raptrack/internal/server"
 	"raptrack/internal/speccfa"
-	"raptrack/internal/trace"
+	"raptrack/internal/trace/pipeline"
 	"raptrack/internal/verify"
 )
 
@@ -335,7 +335,11 @@ func BenchmarkSpecCFA(b *testing.B) {
 			for _, r := range reports1 {
 				log = append(log, r.CFLog...)
 			}
-			dict, err := speccfa.Mine(trace.DecodePackets(log), 8, 2, 8)
+			packets, derr := pipeline.New(pipeline.Raw(pipeline.FormatMTB, log)).Packets()
+			if derr != nil {
+				b.Fatal(derr)
+			}
+			dict, err := speccfa.Mine(packets, 8, 2, 8)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"sort"
 	"sync"
 	"time"
 
@@ -15,7 +16,6 @@ import (
 	"raptrack/internal/core"
 	"raptrack/internal/linker"
 	"raptrack/internal/remote"
-	"raptrack/internal/router"
 	"raptrack/internal/server"
 	"raptrack/internal/speccfa"
 )
@@ -47,15 +47,13 @@ func loadApp(name string) (*appSpec, error) {
 	return &appSpec{name: name, link: link, key: key, app: a}, nil
 }
 
-// newShardFactory builds identical gateway replicas serving every app.
-func newShardFactory(specs []*appSpec, opts func() []server.Option) func(int) (*server.Gateway, error) {
-	return func(int) (*server.Gateway, error) {
-		g := server.New(opts()...)
-		for _, s := range specs {
-			g.Register(s.name, core.NewVerifier(s.link, s.key))
-		}
-		return g, nil
+// newGateway builds a gateway serving every app.
+func newGateway(specs []*appSpec, opts ...server.Option) *server.Gateway {
+	g := server.New(opts...)
+	for _, s := range specs {
+		g.Register(s.name, core.NewVerifier(s.link, s.key))
 	}
+	return g
 }
 
 // --- template provers -------------------------------------------------
@@ -229,9 +227,8 @@ func (ts *templateStore) attest(conn io.ReadWriter, app, device string) (remote.
 
 // slowConn models the device's uplink: every Write pays the link
 // latency before bytes move. The gateway session holds its slot while
-// waiting — the capacity dynamic that makes horizontal sharding pay on
-// a single host: replicas multiply concurrent-session capacity while
-// the per-session CPU work stays far below one core.
+// waiting, so sessions are link-bound: capacity is the slot count,
+// while the per-session CPU work stays far below one core.
 type slowConn struct {
 	net.Conn
 	lat time.Duration
@@ -269,14 +266,14 @@ func buildFleet(n int, specs []*appSpec, baseLat time.Duration, stragglerPct int
 	return fleet
 }
 
-// dialRouter opens one in-process session against rt: the router serves
-// the gateway end of a pipe while the device speaks on a latency-shaped
+// dialGateway opens one in-process session against gw: the gateway
+// serves its end of a pipe while the device speaks on a latency-shaped
 // client end.
-func dialRouter(rt *router.Router, d *device) (net.Conn, <-chan struct{}) {
+func dialGateway(gw *server.Gateway, d *device) (net.Conn, <-chan struct{}) {
 	cc, sc := net.Pipe()
 	done := make(chan struct{})
 	go func() {
-		_ = rt.ServeConn(sc)
+		_ = gw.ServeConn(sc)
 		close(done)
 	}()
 	return &slowConn{Conn: cc, lat: d.latency}, done
@@ -284,12 +281,10 @@ func dialRouter(rt *router.Router, d *device) (net.Conn, <-chan struct{}) {
 
 // sessionResult is one completed device session.
 type sessionResult struct {
-	ok       bool
-	shed     bool // every attempt ended in BUSY
-	err      error
-	attempts int
-	busy     int
-	latency  time.Duration // first attempt start -> final outcome
+	ok      bool
+	err     error // set only when no attempt reached a verdict
+	busy    int
+	latency time.Duration // first attempt start -> final outcome
 }
 
 // retryProfile shapes a device's retry loop. Backoff grows linearly per
@@ -332,14 +327,13 @@ func keyHashJitter(id string, attempt int) uint64 {
 	return (h ^ uint64(attempt)) * 1099511628211
 }
 
-// runSession attests d against rt with BUSY-aware retry (the template
+// runSession attests d against gw with BUSY-aware retry (the template
 // path cannot use remote.Client.AttestDial, which builds real provers).
-func runSession(rt *router.Router, ts *templateStore, d *device, wrap func(net.Conn) io.ReadWriter, prof retryProfile) sessionResult {
+func runSession(gw *server.Gateway, ts *templateStore, d *device, wrap func(net.Conn) io.ReadWriter, prof retryProfile) sessionResult {
 	start := time.Now()
 	res := sessionResult{}
 	for attempt := 1; attempt <= prof.maxAttempts; attempt++ {
-		res.attempts = attempt
-		conn, done := dialRouter(rt, d)
+		conn, done := dialGateway(gw, d)
 		var c io.ReadWriter = conn
 		if wrap != nil {
 			c = wrap(conn)
@@ -348,7 +342,8 @@ func runSession(rt *router.Router, ts *templateStore, d *device, wrap func(net.C
 		conn.Close()
 		<-done
 		if err == nil {
-			res.ok = gv.OK
+			// A verdict supersedes the errors of earlier attempts.
+			res.ok, res.err = gv.OK, nil
 			res.latency = time.Since(start)
 			return res
 		}
@@ -363,7 +358,6 @@ func runSession(rt *router.Router, ts *templateStore, d *device, wrap func(net.C
 		time.Sleep(2 * time.Millisecond)
 		res.err = err
 	}
-	res.shed = res.busy == res.attempts
 	res.latency = time.Since(start)
 	if res.err == nil && res.busy > 0 {
 		res.err = errors.New("fleetsim: retry budget exhausted on BUSY")
@@ -380,18 +374,10 @@ func quantiles(ds []time.Duration) (p50, p99 float64) {
 	for i, d := range ds {
 		ms[i] = float64(d) / float64(time.Millisecond)
 	}
-	sortFloats(ms)
+	sort.Float64s(ms)
 	at := func(q float64) float64 {
 		i := int(q * float64(len(ms)-1))
 		return ms[i]
 	}
 	return at(0.50), at(0.99)
-}
-
-func sortFloats(x []float64) {
-	for i := 1; i < len(x); i++ {
-		for j := i; j > 0 && x[j] < x[j-1]; j-- {
-			x[j], x[j-1] = x[j-1], x[j]
-		}
-	}
 }

@@ -1,35 +1,24 @@
-// Command fleetsim drives the sharded attestation plane end-to-end with
-// a synthetic prover fleet and writes BENCH_fleet.json.
+// Command fleetsim drives one attestation gateway end-to-end with a
+// synthetic prover fleet and writes BENCH_fleet.json.
 //
-// Four phases, each against a fresh topology:
+// Two phases, each against a fresh gateway:
 //
-//  1. differential — the same session corpus (honest devices plus
-//     protocol-error classes) against a bare single gateway and a
-//     4-shard router; every gateway->device frame sequence must be
-//     bit-identical (the random challenge nonce is the one masked
-//     field). The router must be a pure capacity layer.
-//  2. scaling — closed-loop load at 1, 2 and 4 shards with a fixed
-//     per-replica session-slot budget over latency-shaped device
-//     links: aggregate sessions/s must scale with shard count on the
-//     same machine (slots x replicas is the capacity unit; per-session
-//     CPU stays far below one core).
-//  3. wave — the full fleet (>= 10k provers) under a diurnal arrival
+//  1. scaling — closed-loop load over latency-shaped device links at
+//     -slots/4, -slots/2 and -slots session slots: sessions are
+//     link-bound (per-session CPU stays far below one core), so
+//     aggregate sessions/s must scale with the slot count on the same
+//     machine — capacity is slots.
+//  2. wave — the full fleet (>= 10k provers) under a diurnal arrival
 //     wave followed by a thundering herd after a simulated firmware
-//     push, with straggler devices on slow lossy links, online mining
-//     feeding the fleet dictionary bus, and periodic cross-shard cache
-//     warming. Reports p50/p99 verdict latency, shed/retry volume,
-//     shard balance and dictionary propagation.
-//  4. warm probe — quantifies cross-shard verify-cache warming: a
-//     verdict computed on one shard short-circuits the same evidence
-//     arriving on another shard after a WarmCaches sweep.
+//     push, with straggler devices on slow lossy links and online
+//     mining promoting a live dictionary. Reports p50/p99 verdict
+//     latency, shed/retry volume and dictionary promotions.
 //
 // The run is seeded; `-smoke` selects the pinned CI profile (finishes
 // well under a minute on one core).
 package main
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -45,78 +34,54 @@ import (
 	"time"
 
 	"raptrack/internal/faults"
-	"raptrack/internal/obs"
-	"raptrack/internal/remote"
-	"raptrack/internal/router"
 	"raptrack/internal/server"
 )
 
 // benchDoc is the BENCH_fleet.json schema.
 type benchDoc struct {
-	Suite        string          `json:"suite"`
-	Seed         uint64          `json:"seed"`
-	Smoke        bool            `json:"smoke"`
-	Apps         []string        `json:"apps"`
-	Provers      int             `json:"provers"`
-	ElapsedSec   float64         `json:"elapsed_sec"`
-	Differential differentialDoc `json:"differential"`
-	Scaling      scalingDoc      `json:"scaling"`
-	Wave         waveDoc         `json:"wave"`
-	WarmProbe    warmDoc         `json:"warm_probe"`
-}
-
-type differentialDoc struct {
-	Sessions  int  `json:"sessions"`
-	Identical bool `json:"identical"`
-	ShardsHit int  `json:"shards_hit"`
+	Suite      string     `json:"suite"`
+	Seed       uint64     `json:"seed"`
+	Smoke      bool       `json:"smoke"`
+	Apps       []string   `json:"apps"`
+	Provers    int        `json:"provers"`
+	ElapsedSec float64    `json:"elapsed_sec"`
+	Scaling    scalingDoc `json:"scaling"`
+	Wave       waveDoc    `json:"wave"`
 }
 
 type legDoc struct {
-	Shards         int      `json:"shards"`
-	Sessions       int      `json:"sessions"`
-	OK             int      `json:"ok"`
-	SessionsPerSec float64  `json:"sessions_per_sec"`
-	P50Ms          float64  `json:"p50_ms"`
-	P99Ms          float64  `json:"p99_ms"`
-	ShardSessions  []uint64 `json:"shard_sessions"`
+	Slots          int     `json:"slots"`
+	Sessions       int     `json:"sessions"`
+	OK             int     `json:"ok"`
+	SessionsPerSec float64 `json:"sessions_per_sec"`
+	P50Ms          float64 `json:"p50_ms"`
+	P99Ms          float64 `json:"p99_ms"`
 }
 
 type scalingDoc struct {
-	SlotsPerShard int      `json:"slots_per_shard"`
 	LinkLatencyMs float64  `json:"link_latency_ms"`
 	DurationSec   float64  `json:"leg_duration_sec"`
 	Legs          []legDoc `json:"legs"`
-	Speedup4x     float64  `json:"speedup_4x"`
+	Speedup4x     float64  `json:"speedup_4x"` // -slots leg over the -slots/4 leg
 	Target3xMet   bool     `json:"target_3x_met"`
 }
 
 type waveDoc struct {
-	Shards         int               `json:"shards"`
-	Provers        int               `json:"provers"`
-	Stragglers     int               `json:"stragglers"`
-	Sessions       int               `json:"sessions"`
-	OK             int               `json:"ok"`
-	Rejected       int               `json:"rejected"`
-	Failed         int               `json:"failed"`
-	BusyRetries    int               `json:"busy_retries"`
-	GatewaySheds   uint64            `json:"gateway_sheds"`
-	ElapsedSec     float64           `json:"elapsed_sec"`
-	SessionsPerSec float64           `json:"sessions_per_sec"`
-	P50Ms          float64           `json:"p50_ms"`
-	P99Ms          float64           `json:"p99_ms"`
-	ShardSessions  []uint64          `json:"shard_sessions"`
-	BalanceSpread  float64           `json:"balance_max_over_min"`
-	DictEpochs     map[string]uint64 `json:"dict_epochs"`
-	DictProps      uint64            `json:"dict_propagations"`
-	DictLagP99Ms   float64           `json:"dict_lag_p99_ms"`
-	WarmSweeps     int               `json:"warm_sweeps"`
-	WarmMoved      int               `json:"warm_entries_moved"`
-}
-
-type warmDoc struct {
-	EntriesMoved int     `json:"entries_moved"`
-	Sessions     int     `json:"sessions"`
-	HitRate      float64 `json:"hit_rate"`
+	Slots          int     `json:"slots"`
+	Provers        int     `json:"provers"`
+	Stragglers     int     `json:"stragglers"`
+	Sessions       int     `json:"sessions"`
+	OK             int     `json:"ok"`
+	Rejected       int     `json:"rejected"`
+	Failed         int     `json:"failed"`
+	BusyRetries    int     `json:"busy_retries"`
+	GatewaySheds   uint64  `json:"gateway_sheds"`
+	ElapsedSec     float64 `json:"elapsed_sec"`
+	SessionsPerSec float64 `json:"sessions_per_sec"`
+	P50Ms          float64 `json:"p50_ms"`
+	P99Ms          float64 `json:"p99_ms"`
+	DictPromotions uint64  `json:"dict_promotions"`
+	DictPaths      int     `json:"dict_paths"`
 }
 
 func main() {
@@ -125,8 +90,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		appsFlag = flag.String("apps", "prime", "comma-separated workload apps")
 		provers  = flag.Int("provers", 10000, "simulated fleet size")
-		shards   = flag.Int("shards", 4, "wave-phase shard count")
-		slots    = flag.Int("slots", 8, "session slots per shard replica")
+		slots    = flag.Int("slots", 32, "gateway session slots (scaling sweeps slots/4, slots/2, slots)")
 		baseLat  = flag.Duration("link-latency", time.Millisecond, "base device uplink latency per write")
 		legDur   = flag.Duration("leg-duration", 8*time.Second, "measurement window per scaling leg")
 		diurnal  = flag.Duration("diurnal", 12*time.Second, "wave-phase diurnal window")
@@ -138,6 +102,9 @@ func main() {
 		*legDur = 2500 * time.Millisecond
 		*diurnal = 4 * time.Second
 		*herd = 2500 * time.Millisecond
+	}
+	if *slots < 4 {
+		fatal(fmt.Errorf("-slots must be at least 4, got %d", *slots))
 	}
 
 	begin := time.Now()
@@ -172,10 +139,8 @@ func main() {
 		Provers: len(fleet),
 	}
 
-	doc.Differential = runDifferential(specs, ts, fleet)
 	doc.Scaling = runScaling(specs, ts, fleet, *slots, *baseLat, *legDur)
-	doc.Wave = runWave(specs, ts, fleet, *shards, *slots, *diurnal, *herd, *seed, rng)
-	doc.WarmProbe = runWarmProbe(specs, ts, fleet)
+	doc.Wave = runWave(specs, ts, fleet, *slots, *diurnal, *herd, *seed, rng)
 	doc.ElapsedSec = round2(time.Since(begin).Seconds())
 
 	data, err := json.MarshalIndent(doc, "", "  ")
@@ -187,12 +152,9 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("wrote %s (%.1fs total)\n", *out, doc.ElapsedSec)
-	if !doc.Differential.Identical {
-		fmt.Fprintln(os.Stderr, "fleetsim: FAIL: sharded responses diverged from the single gateway")
-		os.Exit(1)
-	}
 	if !doc.Scaling.Target3xMet {
-		fmt.Fprintf(os.Stderr, "fleetsim: warning: 4-shard speedup %.2fx below the 3x target\n", doc.Scaling.Speedup4x)
+		fmt.Fprintf(os.Stderr, "fleetsim: warning: %d-slot speedup %.2fx over %d slots below the 3x target\n",
+			*slots, doc.Scaling.Speedup4x, *slots/4)
 	}
 }
 
@@ -202,116 +164,6 @@ func fatal(err error) {
 }
 
 func round2(v float64) float64 { return math.Round(v*100) / 100 }
-
-// --- phase 1: differential ---------------------------------------------
-
-// recordConn captures every byte the gateway side sends us.
-type recordConn struct {
-	io.ReadWriter
-	in bytes.Buffer
-}
-
-func (r *recordConn) Read(p []byte) (int, error) {
-	n, err := r.ReadWriter.Read(p)
-	if n > 0 {
-		r.in.Write(p[:n])
-	}
-	return n, err
-}
-
-// fingerprint renders the captured gateway->device stream as one token
-// per frame, masking only the challenge payload (random nonce).
-func fingerprint(raw []byte) []string {
-	var out []string
-	for i := 0; len(raw)-i >= remote.FrameHeaderSize; {
-		typ := raw[i]
-		n := int(binary.LittleEndian.Uint32(raw[i+1 : i+5]))
-		i += remote.FrameHeaderSize
-		if n < 0 || len(raw)-i < n {
-			out = append(out, "truncated")
-			break
-		}
-		if typ == remote.FrameChal {
-			out = append(out, fmt.Sprintf("chal[%d]", n))
-		} else {
-			out = append(out, fmt.Sprintf("t%d:%x", typ, raw[i:i+n]))
-		}
-		i += n
-	}
-	return out
-}
-
-// diffCase is one differential corpus entry: honest template sessions
-// or a raw first frame (protocol-error classes).
-type diffCase struct {
-	dev *device // honest when non-nil
-	typ byte    // raw frame otherwise
-	raw []byte
-}
-
-// play runs the case against one serving function and returns the
-// response fingerprint.
-func (dc *diffCase) play(ts *templateStore, serve func(net.Conn)) []string {
-	cc, sc := net.Pipe()
-	done := make(chan struct{})
-	go func() { serve(sc); close(done) }()
-	rc := &recordConn{ReadWriter: cc}
-	if dc.dev != nil {
-		_, _ = ts.attest(rc, dc.dev.app, dc.dev.id)
-	} else {
-		_ = remote.WriteFrame(rc, dc.typ, dc.raw)
-		_, _ = io.Copy(io.Discard, rc)
-	}
-	cc.Close()
-	<-done
-	return fingerprint(rc.in.Bytes())
-}
-
-func runDifferential(specs []*appSpec, ts *templateStore, fleet []*device) differentialDoc {
-	mk := newShardFactory(specs, func() []server.Option {
-		return []server.Option{server.WithMining(-1, 0, 0)}
-	})
-	single, err := mk(0)
-	if err != nil {
-		fatal(err)
-	}
-	defer single.Close()
-	rt, err := router.New(router.Config{Shards: 4, NewShard: mk})
-	if err != nil {
-		fatal(err)
-	}
-	defer rt.Close()
-
-	cases := make([]*diffCase, 0, 20)
-	for i := 0; i < 16 && i < len(fleet); i++ {
-		cases = append(cases, &diffCase{dev: fleet[i]})
-	}
-	cases = append(cases,
-		&diffCase{typ: remote.FrameHello, raw: remote.EncodeHelloID("no-such-app", "device-x")},
-		&diffCase{typ: remote.FrameHello, raw: []byte{0x01, 'p'}},
-		&diffCase{typ: remote.FrameHello, raw: nil},
-		&diffCase{typ: remote.FrameChal, raw: []byte("not a hello")},
-	)
-
-	shardsHit := map[int]bool{}
-	identical := true
-	for _, dc := range cases {
-		a := dc.play(ts, func(c net.Conn) { _ = single.ServeConn(c) })
-		b := dc.play(ts, func(c net.Conn) { _ = rt.ServeConn(c) })
-		if fmt.Sprint(a) != fmt.Sprint(b) {
-			identical = false
-			fmt.Fprintf(os.Stderr, "differential mismatch: single=%v sharded=%v\n", a, b)
-		}
-		if dc.dev != nil {
-			shardsHit[rt.Locate(dc.dev.app, dc.dev.id)] = true
-		}
-	}
-	fmt.Printf("differential: %d sessions, identical=%v, %d shards exercised\n",
-		len(cases), identical, len(shardsHit))
-	return differentialDoc{Sessions: len(cases), Identical: identical, ShardsHit: len(shardsHit)}
-}
-
-// --- phase 2: scaling --------------------------------------------------
 
 // collector aggregates session results across driver goroutines.
 type collector struct {
@@ -338,6 +190,8 @@ func (c *collector) add(r sessionResult) {
 	}
 }
 
+// --- phase 1: scaling --------------------------------------------------
+
 func runScaling(specs []*appSpec, ts *templateStore, fleet []*device, slots int, baseLat, legDur time.Duration) scalingDoc {
 	// A capacity benchmark wants steady links: exclude stragglers and
 	// cap the rotating corpus so each leg reuses warm verify caches.
@@ -351,102 +205,73 @@ func runScaling(specs []*appSpec, ts *templateStore, fleet []*device, slots int,
 		}
 	}
 	doc := scalingDoc{
-		SlotsPerShard: slots,
 		LinkLatencyMs: float64(baseLat) / float64(time.Millisecond),
 		DurationSec:   round2(legDur.Seconds()),
 	}
-	rates := map[int]float64{}
-	for _, n := range []int{1, 2, 4} {
-		leg := runScalingLeg(specs, ts, corpus, n, slots, legDur)
-		rates[n] = leg.SessionsPerSec
+	for _, n := range []int{slots / 4, slots / 2, slots} {
+		leg := runScalingLeg(specs, ts, corpus, n, legDur)
 		doc.Legs = append(doc.Legs, leg)
-		fmt.Printf("scaling: %d shard(s) -> %.0f sessions/s (p50 %.1fms p99 %.1fms)\n",
+		fmt.Printf("scaling: %d slots -> %.0f sessions/s (p50 %.1fms p99 %.1fms)\n",
 			n, leg.SessionsPerSec, leg.P50Ms, leg.P99Ms)
 	}
-	if rates[1] > 0 {
-		doc.Speedup4x = round2(rates[4] / rates[1])
+	if base := doc.Legs[0].SessionsPerSec; base > 0 {
+		doc.Speedup4x = round2(doc.Legs[len(doc.Legs)-1].SessionsPerSec / base)
 	}
 	doc.Target3xMet = doc.Speedup4x >= 3
 	return doc
 }
 
-func runScalingLeg(specs []*appSpec, ts *templateStore, corpus []*device, nShards, slots int, dur time.Duration) legDoc {
-	mk := newShardFactory(specs, func() []server.Option {
-		return []server.Option{
-			server.WithMining(-1, 0, 0),
-			server.WithSessionSlots(slots),
-			server.WithBusyRetryAfter(10 * time.Millisecond),
-		}
-	})
-	rt, err := router.New(router.Config{Shards: nShards, NewShard: mk})
-	if err != nil {
-		fatal(err)
-	}
-	defer rt.Close()
+// runScalingLeg saturates a slots-slot gateway with exactly slots
+// closed-loop drivers, so measured throughput is capacity, not
+// contention between drivers racing for the same slot.
+func runScalingLeg(specs []*appSpec, ts *templateStore, corpus []*device, slots int, dur time.Duration) legDoc {
+	gw := newGateway(specs,
+		server.WithMining(-1, 0, 0),
+		server.WithSessionSlots(slots),
+		server.WithBusyRetryAfter(10*time.Millisecond),
+	)
+	defer gw.Close()
 
-	// Per-shard device queues: each driver set saturates exactly its
-	// shard's slot budget, so measured throughput is capacity, not
-	// contention between drivers racing for the same replica.
-	queues := make([][]*device, nShards)
-	for _, d := range corpus {
-		s := rt.Locate(d.app, d.id)
-		queues[s] = append(queues[s], d)
-	}
 	prof := retryProfile{maxAttempts: 4, backoffStep: 2 * time.Millisecond, backoffCap: 10 * time.Millisecond}
 	coll := &collector{}
 	start := time.Now()
 	deadline := start.Add(dur)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for s := 0; s < nShards; s++ {
-		q := queues[s]
-		if len(q) == 0 {
-			continue
-		}
-		var next atomic.Int64
-		for w := 0; w < slots; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for time.Now().Before(deadline) {
-					d := q[int(next.Add(1)-1)%len(q)]
-					coll.add(runSession(rt, ts, d, nil, prof))
-				}
-			}()
-		}
+	for w := 0; w < slots; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Now().Before(deadline) {
+				d := corpus[int(next.Add(1)-1)%len(corpus)]
+				coll.add(runSession(gw, ts, d, nil, prof))
+			}
+		}()
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	leg := legDoc{Shards: nShards, Sessions: coll.ok + coll.rejected + coll.failed, OK: coll.ok}
+	leg := legDoc{Slots: slots, Sessions: coll.ok + coll.rejected + coll.failed, OK: coll.ok}
 	leg.SessionsPerSec = round2(float64(coll.ok) / elapsed.Seconds())
 	leg.P50Ms, leg.P99Ms = quantiles(coll.lats)
 	leg.P50Ms, leg.P99Ms = round2(leg.P50Ms), round2(leg.P99Ms)
-	for i := 0; i < nShards; i++ {
-		leg.ShardSessions = append(leg.ShardSessions, rt.Shard(i).Snapshot().SessionsAccepted)
-	}
 	return leg
 }
 
-// --- phase 3: wave -----------------------------------------------------
+// --- phase 2: wave -----------------------------------------------------
 
 type arrival struct {
 	at  time.Duration
 	dev *device
 }
 
-func runWave(specs []*appSpec, ts *templateStore, fleet []*device, nShards, slots int, diurnal, herdSpread time.Duration, seed uint64, rng *rand.Rand) waveDoc {
-	mk := newShardFactory(specs, func() []server.Option {
-		return []server.Option{
-			server.WithMining(32, 8, 32),
-			server.WithSessionSlots(slots),
-			server.WithBusyRetryAfter(40 * time.Millisecond),
-		}
-	})
-	rt, err := router.New(router.Config{Shards: nShards, NewShard: mk})
-	if err != nil {
-		fatal(err)
-	}
-	defer rt.Close()
+func runWave(specs []*appSpec, ts *templateStore, fleet []*device, slots int, diurnal, herdSpread time.Duration, seed uint64, rng *rand.Rand) waveDoc {
+	gw := newGateway(specs,
+		server.WithMining(32, 8, 32),
+		server.WithSessionSlots(slots),
+		server.WithBusyRetryAfter(40*time.Millisecond),
+	)
+	defer gw.Close()
 
 	// Arrival schedule: a sin^2-shaped diurnal window in which a fifth
 	// of the fleet checks in, then the firmware push — every device
@@ -478,27 +303,6 @@ func runWave(specs []*appSpec, ts *templateStore, fleet []*device, nShards, slot
 		return func(c net.Conn) io.ReadWriter { return inj.WrapConn(c) }
 	}
 
-	// Periodic cross-shard cache warming while the wave runs.
-	sweepStop := make(chan struct{})
-	var sweeps, swept int
-	var sweepMu sync.Mutex
-	go func() {
-		tick := time.NewTicker(500 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-sweepStop:
-				return
-			case <-tick.C:
-				n := rt.WarmCaches(8)
-				sweepMu.Lock()
-				sweeps++
-				swept += n
-				sweepMu.Unlock()
-			}
-		}
-	}()
-
 	prof := retryProfile{maxAttempts: 150, backoffStep: 30 * time.Millisecond, backoffCap: 1200 * time.Millisecond}
 	coll := &collector{}
 	stragglers := 0
@@ -516,122 +320,32 @@ func runWave(specs []*appSpec, ts *templateStore, fleet []*device, nShards, slot
 		wg.Add(1)
 		go func(d *device) {
 			defer wg.Done()
-			coll.add(runSession(rt, ts, d, wrapFor(d), prof))
+			coll.add(runSession(gw, ts, d, wrapFor(d), prof))
 		}(a.dev)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	close(sweepStop)
+	_ = gw.Close() // drain post-verdict mining before reading the snapshot
 
+	st := gw.Snapshot()
 	doc := waveDoc{
-		Shards:      nShards,
-		Provers:     len(fleet),
-		Stragglers:  stragglers,
-		Sessions:    len(sched),
-		OK:          coll.ok,
-		Rejected:    coll.rejected,
-		Failed:      coll.failed,
-		BusyRetries: coll.busy,
-		ElapsedSec:  round2(elapsed.Seconds()),
+		Slots:          slots,
+		Provers:        len(fleet),
+		Stragglers:     stragglers,
+		Sessions:       len(sched),
+		OK:             coll.ok,
+		Rejected:       coll.rejected,
+		Failed:         coll.failed,
+		BusyRetries:    coll.busy,
+		GatewaySheds:   st.SessionsRejected,
+		ElapsedSec:     round2(elapsed.Seconds()),
+		DictPromotions: st.DictPromotions,
+		DictPaths:      st.DictPaths,
 	}
 	doc.SessionsPerSec = round2(float64(coll.ok) / elapsed.Seconds())
 	doc.P50Ms, doc.P99Ms = quantiles(coll.lats)
 	doc.P50Ms, doc.P99Ms = round2(doc.P50Ms), round2(doc.P99Ms)
-	var minS, maxS uint64
-	for i := 0; i < nShards; i++ {
-		n := rt.Shard(i).Snapshot().SessionsAccepted
-		doc.ShardSessions = append(doc.ShardSessions, n)
-		if i == 0 || n < minS {
-			minS = n
-		}
-		if n > maxS {
-			maxS = n
-		}
-	}
-	if minS > 0 {
-		doc.BalanceSpread = round2(float64(maxS) / float64(minS))
-	}
-	doc.GatewaySheds = rt.Snapshot().SessionsRejected
-	props, epochs, lag := rt.DictPropagation()
-	doc.DictProps = props
-	doc.DictEpochs = epochs
-	doc.DictLagP99Ms = round2(histP99(lag) * 1000)
-	sweepMu.Lock()
-	doc.WarmSweeps, doc.WarmMoved = sweeps, swept
-	sweepMu.Unlock()
-	fmt.Printf("wave: %d sessions over %d provers in %.1fs -> %d ok, %d rejected, %d failed; %d busy retries, %d gateway sheds; dict epochs %v\n",
-		doc.Sessions, doc.Provers, doc.ElapsedSec, doc.OK, doc.Rejected, doc.Failed, doc.BusyRetries, doc.GatewaySheds, doc.DictEpochs)
-	return doc
-}
-
-// histP99 returns the p99 upper bucket bound in seconds (the last
-// finite bound if the quantile lands in the overflow bucket).
-func histP99(s obs.HistogramSnapshot) float64 {
-	var total uint64
-	for _, c := range s.Counts {
-		total += c
-	}
-	if total == 0 || len(s.Bounds) == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(0.99 * float64(total)))
-	var cum uint64
-	for i, c := range s.Counts {
-		cum += c
-		if cum >= target {
-			if i < len(s.Bounds) {
-				return s.Bounds[i]
-			}
-			break
-		}
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}
-
-// --- phase 4: warm probe -----------------------------------------------
-
-func runWarmProbe(specs []*appSpec, ts *templateStore, fleet []*device) warmDoc {
-	mk := newShardFactory(specs, func() []server.Option {
-		return []server.Option{server.WithMining(-1, 0, 0)}
-	})
-	rt, err := router.New(router.Config{Shards: 2, NewShard: mk})
-	if err != nil {
-		fatal(err)
-	}
-	defer rt.Close()
-
-	app := specs[0].name
-	pinned := func(shard, n int) []*device {
-		var out []*device
-		for _, d := range fleet {
-			if d.app == app && rt.Locate(d.app, d.id) == shard {
-				out = append(out, d)
-				if len(out) == n {
-					break
-				}
-			}
-		}
-		return out
-	}
-	prof := retryProfile{maxAttempts: 3, backoffStep: 5 * time.Millisecond, backoffCap: 20 * time.Millisecond}
-	seeders, probes := pinned(0, 1), pinned(1, 16)
-	if len(seeders) == 0 || len(probes) == 0 {
-		return warmDoc{}
-	}
-	runSession(rt, ts, seeders[0], nil, prof)
-	moved := rt.WarmCaches(0)
-	before := rt.Shard(1).Snapshot().CacheHits
-	ok := 0
-	for _, d := range probes {
-		if runSession(rt, ts, d, nil, prof).ok {
-			ok++
-		}
-	}
-	hits := rt.Shard(1).Snapshot().CacheHits - before
-	doc := warmDoc{EntriesMoved: moved, Sessions: len(probes)}
-	if len(probes) > 0 {
-		doc.HitRate = round2(float64(hits) / float64(len(probes)))
-	}
-	fmt.Printf("warm probe: %d entries moved, %d/%d probe sessions hit warm cache\n", moved, hits, len(probes))
+	fmt.Printf("wave: %d sessions over %d provers in %.1fs -> %d ok, %d rejected, %d failed; %d busy retries, %d gateway sheds; %d dictionary promotions\n",
+		doc.Sessions, doc.Provers, doc.ElapsedSec, doc.OK, doc.Rejected, doc.Failed, doc.BusyRetries, doc.GatewaySheds, doc.DictPromotions)
 	return doc
 }

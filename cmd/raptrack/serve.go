@@ -21,20 +21,10 @@ import (
 	"raptrack/internal/core"
 	"raptrack/internal/faults"
 	"raptrack/internal/journal"
-	"raptrack/internal/linker"
 	"raptrack/internal/obs"
 	"raptrack/internal/remote"
-	"raptrack/internal/router"
 	"raptrack/internal/server"
 )
-
-// servePlane is what the serve loop needs from either topology: a bare
-// gateway (-shards 1) or the consistent-hash router fronting N replicas.
-type servePlane interface {
-	Serve(net.Listener) error
-	Close() error
-	Snapshot() server.Stats
-}
 
 // cmdServe runs the concurrent attestation gateway: it provisions a
 // shared Verifier per workload, serves prover sessions on a TCP listener,
@@ -47,7 +37,6 @@ type servePlane interface {
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7421", "listen address")
-	shards := fs.Int("shards", 1, "gateway replicas behind the consistent-hash session router (1: single gateway)")
 	adminAddr := fs.String("admin", "", "admin endpoint address (/metrics, /debug/sessions, pprof; empty: off)")
 	metricsOut := fs.String("metrics-out", "", "write a final /metrics scrape to this file on shutdown (atomically; also snapshotted every -metrics-interval)")
 	metricsInterval := fs.Duration("metrics-interval", 30*time.Second, "periodic -metrics-out snapshot period (0: final scrape only)")
@@ -119,18 +108,32 @@ func cmdServe(args []string) error {
 			*journalDir, c.Recovered, jnl.NextSeq())
 	}
 
-	// One golden artifact, key, and shared Verifier per app — provisioned
-	// once and shared by every replica (a firmware image is fleet
-	// property). The key would normally come from device provisioning;
-	// the demo gateway generates fresh ones and hands them to its
-	// selftest provers.
-	type provApp struct {
-		name string
-		link *linker.Output
-		key  *attest.HMACKey
+	opts := []server.Option{
+		server.WithSessionSlots(*maxSessions),
+		server.WithVerifyWorkers(*workers, 0),
+		server.WithTimeouts(*sessionTimeout, *ioTimeout),
+		server.WithCache(*cacheBytes),
+		server.WithMining(*mineEvery, *minePaths, *maxDictPaths),
+		server.WithBusyRetryAfter(*busyRetryAfter),
+		server.WithBreaker(*breakerThreshold, *breakerCooldown),
+		server.WithAutomaton(*automaton),
+		server.WithObserver(observer),
 	}
+	if jnl != nil {
+		opts = append(opts, server.WithJournal(jnl))
+	}
+	if *verbose {
+		opts = append(opts, server.WithSessionErrorHandler(func(addr string, err error) {
+			fmt.Fprintf(os.Stderr, "session %s: %v\n", addr, err)
+		}))
+	}
+	gw := server.New(opts...)
+	defer gw.Close()
+
+	// One golden artifact, key, and shared Verifier per app. The key would
+	// normally come from device provisioning; the demo gateway generates
+	// fresh ones and hands them to its selftest provers.
 	ep := remote.NewProverEndpoint()
-	var provs []provApp
 	for _, name := range names {
 		name := strings.TrimSpace(name)
 		a, err := apps.Get(name)
@@ -145,7 +148,7 @@ func cmdServe(args []string) error {
 		if err != nil {
 			return err
 		}
-		provs = append(provs, provApp{name: name, link: link, key: key})
+		gw.Register(name, core.NewVerifier(link, key))
 		app := a
 		ep.Provision(name, func() (*core.Prover, error) {
 			return core.NewProver(link, key, core.ProverConfig{
@@ -157,76 +160,6 @@ func cmdServe(args []string) error {
 		fmt.Printf("provisioned %-12s (H_MEM %x...)\n", name, hmem[:8])
 	}
 
-	buildOpts := func(o *obs.Observer) []server.Option {
-		opts := []server.Option{
-			server.WithSessionSlots(*maxSessions),
-			server.WithVerifyWorkers(*workers, 0),
-			server.WithTimeouts(*sessionTimeout, *ioTimeout),
-			server.WithCache(*cacheBytes),
-			server.WithMining(*mineEvery, *minePaths, *maxDictPaths),
-			server.WithBusyRetryAfter(*busyRetryAfter),
-			server.WithBreaker(*breakerThreshold, *breakerCooldown),
-			server.WithAutomaton(*automaton),
-			server.WithObserver(o),
-		}
-		if jnl != nil {
-			opts = append(opts, server.WithJournal(jnl))
-		}
-		if *verbose {
-			opts = append(opts, server.WithSessionErrorHandler(func(addr string, err error) {
-				fmt.Fprintf(os.Stderr, "session %s: %v\n", addr, err)
-			}))
-		}
-		return opts
-	}
-
-	// The serving plane: a bare gateway, or the router over N replicas.
-	// Sharded mode gives each replica its own observer (metric names
-	// collide on a shared registry) and mounts the composite exposition —
-	// router families unlabeled, every shard's families under shard="i" —
-	// over the admin /metrics route; `observer` then carries only the
-	// process-level families (router, faults, journal).
-	var (
-		plane      servePlane
-		gw0        *server.Gateway // retry attribution target for -selftest
-		rt         *router.Router
-		adminOpts  []obs.AdminOption
-		renderExpo func(io.Writer) error
-	)
-	if *shards <= 1 {
-		g := server.New(buildOpts(observer)...)
-		for _, p := range provs {
-			g.Register(p.name, core.NewVerifier(p.link, p.key))
-		}
-		plane, gw0 = g, g
-		renderExpo = observer.Registry().WritePrometheus
-	} else {
-		var err error
-		rt, err = router.New(router.Config{
-			Shards:       *shards,
-			MaxDictPaths: *maxDictPaths,
-			RetryAfter:   *busyRetryAfter,
-			Registry:     observer.Registry(),
-			NewShard: func(int) (*server.Gateway, error) {
-				g := server.New(buildOpts(obs.NewObserver(nil, *traceRing))...)
-				for _, p := range provs {
-					g.Register(p.name, core.NewVerifier(p.link, p.key))
-				}
-				return g, nil
-			},
-		})
-		if err != nil {
-			return err
-		}
-		plane, gw0 = rt, rt.Shard(0)
-		renderExpo = rt.WriteMetrics
-		adminOpts = append(adminOpts, obs.WithRoute("/metrics", rt.MetricsHandler()))
-		for i := 0; i < rt.Shards(); i++ {
-			adminOpts = append(adminOpts, obs.WithHealth(fmt.Sprintf("shard-%d", i), rt.HealthProbe(i)))
-		}
-	}
-	defer plane.Close()
-
 	var adminSrv *http.Server
 	var adminURL string
 	if *adminAddr != "" {
@@ -235,6 +168,7 @@ func cmdServe(args []string) error {
 			return fmt.Errorf("admin listener: %w", err)
 		}
 		adminURL = "http://" + aln.Addr().String()
+		var adminOpts []obs.AdminOption
 		if jnl != nil {
 			adminOpts = append(adminOpts,
 				obs.WithHealth("journal", func() obs.HealthStatus {
@@ -259,12 +193,8 @@ func cmdServe(args []string) error {
 		return err
 	}
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- plane.Serve(ln) }()
-	if rt != nil {
-		fmt.Printf("router listening on %s (%d apps, %d shards x %d slots)\n", ln.Addr(), len(names), rt.Shards(), *maxSessions)
-	} else {
-		fmt.Printf("gateway listening on %s (%d apps, %d slots)\n", ln.Addr(), len(names), *maxSessions)
-	}
+	go func() { serveErr <- gw.Serve(ln) }()
+	fmt.Printf("gateway listening on %s (%d apps, %d slots)\n", ln.Addr(), len(names), *maxSessions)
 
 	// Periodic -metrics-out snapshots: a killed gateway loses at most one
 	// interval of metrics, and each snapshot is atomic, so the file on
@@ -282,14 +212,14 @@ func cmdServe(args []string) error {
 				case <-snapStop:
 					return
 				case <-t.C:
-					_ = writeMetrics(*metricsOut, adminURL, renderExpo)
+					_ = writeMetrics(*metricsOut, adminURL, observer.Registry())
 				}
 			}
 		}()
 	}
 
 	if *selftest > 0 {
-		if err := runSelftest(gw0, ep, ln.Addr().String(), names, *selftest); err != nil {
+		if err := runSelftest(gw, ep, ln.Addr().String(), names, *selftest); err != nil {
 			return err
 		}
 	} else {
@@ -308,10 +238,10 @@ func cmdServe(args []string) error {
 	// Drain before reading anything: in-flight sessions and queued verify
 	// jobs land in the registry only once Close returns, so the snapshot
 	// (and the selftest's latency line) reflects every session.
-	if err := plane.Close(); err != nil {
+	if err := gw.Close(); err != nil {
 		return err
 	}
-	snap := plane.Snapshot()
+	snap := gw.Snapshot()
 	fmt.Print(snap)
 	if *selftest > 0 && snap.Verifications > 0 {
 		fmt.Printf("selftest: verify latency avg %v over %d verifications\n",
@@ -324,7 +254,7 @@ func cmdServe(args []string) error {
 		<-snapDone
 	}
 	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut, adminURL, renderExpo); err != nil {
+		if err := writeMetrics(*metricsOut, adminURL, observer.Registry()); err != nil {
 			return err
 		}
 		fmt.Printf("metrics written:   %s\n", *metricsOut)
@@ -366,10 +296,9 @@ func appKey(journalDir, app string) (*attest.HMACKey, error) {
 // writeMetrics persists one exposition scrape atomically (temp-file +
 // rename: a reader or a crash never sees a torn exposition). When the
 // admin endpoint is up the scrape goes through a real HTTP GET — proving
-// the served bytes, not just the registry — and falls back to the render
-// callback otherwise (the bare registry when single, the router's
-// composite exposition when sharded).
-func writeMetrics(path, adminURL string, render func(io.Writer) error) error {
+// the served bytes, not just the registry — and falls back to rendering
+// the registry directly otherwise.
+func writeMetrics(path, adminURL string, reg *obs.Registry) error {
 	if adminURL != "" {
 		resp, err := http.Get(adminURL + "/metrics")
 		if err == nil {
@@ -381,7 +310,7 @@ func writeMetrics(path, adminURL string, render func(io.Writer) error) error {
 		}
 	}
 	var buf strings.Builder
-	if err := render(&buf); err != nil {
+	if err := reg.WritePrometheus(&buf); err != nil {
 		return err
 	}
 	return journal.WriteFileAtomic(nil, path, []byte(buf.String()), 0o644)

@@ -62,12 +62,6 @@ type Plan struct {
 	DiskWriteErr   float64 // write fails outright, nothing lands
 	DiskFsyncErr   float64 // fsync reports failure (durability unknown)
 	DiskBitFlip    float64 // single-bit flip per whole-file read (cold rot)
-
-	// Fleet faults (router chaos harnesses poll RollShardKill once per
-	// scheduling tick): a live shard replica dies and stays down for
-	// ShardDownFor before the harness restarts it.
-	ShardKill    float64
-	ShardDownFor time.Duration // default 50ms
 }
 
 // Counts is a snapshot of faults actually injected.
@@ -92,8 +86,6 @@ type Counts struct {
 	DiskFsyncErrs   uint64
 	DiskBitFlips    uint64
 	TornTails       uint64 // partial tails stranded by Crash
-
-	ShardKills uint64
 }
 
 // Hardware totals the simulated-hardware faults — the ones that perturb
@@ -119,8 +111,7 @@ func (c Counts) Disk() uint64 {
 
 // Total sums every injected fault.
 func (c Counts) Total() uint64 {
-	return c.Hardware() + c.Wire() + c.VerifyPanics + c.VerifyStalls + c.Disk() +
-		c.ShardKills
+	return c.Hardware() + c.Wire() + c.VerifyPanics + c.VerifyStalls + c.Disk()
 }
 
 // Injector makes seeded fault decisions. Safe for concurrent use; see
@@ -226,23 +217,6 @@ func (in *Injector) InstrumentDWT(d *trace.DWT) {
 	d.Misfire = func(trace.RangeRule) bool {
 		return in.roll(in.plan.DWTMisfire, &in.c.DWTMisfires)
 	}
-}
-
-// RollShardKill draws one fleet-layer decision: whether a live shard
-// dies this scheduling tick. Deterministic like every other roll — a
-// chaos harness polls it on a fixed cadence so the kill schedule
-// replays under a pinned seed.
-func (in *Injector) RollShardKill() bool {
-	return in.roll(in.plan.ShardKill, &in.c.ShardKills)
-}
-
-// ShardDownFor returns how long a killed shard stays down before the
-// harness restarts it.
-func (in *Injector) ShardDownFor() time.Duration {
-	if in.plan.ShardDownFor > 0 {
-		return in.plan.ShardDownFor
-	}
-	return 50 * time.Millisecond
 }
 
 // VerifyHook returns a gateway verify hook (install via server.WithFaults)

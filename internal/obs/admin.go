@@ -75,8 +75,8 @@ func AdminHandler(o *Observer, opts ...AdminOption) http.Handler {
 
 	mux := http.NewServeMux()
 	if _, override := cfg.routes["/metrics"]; !override {
-		// A route mounted on /metrics (e.g. WithComposite) replaces the
-		// default single-registry exposition instead of double-registering.
+		// A route mounted on /metrics via WithRoute replaces the default
+		// registry exposition instead of double-registering.
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 			_ = o.Registry().WritePrometheus(w)

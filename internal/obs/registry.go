@@ -386,39 +386,28 @@ func formatFloat(v float64) string {
 }
 
 // labelPairs renders {a="x",b="y"}; extras appends further pairs as
-// alternating name/value strings (the injected shard label in composite
-// expositions, le for histogram buckets). Pairs with an empty name are
-// skipped. Returns "" when no pair survives.
+// alternating name/value strings (le for histogram buckets). Returns ""
+// when there is no pair.
 func labelPairs(names, values []string, extras ...string) string {
-	extra := 0
-	for i := 0; i+1 < len(extras); i += 2 {
-		if extras[i] != "" {
-			extra++
-		}
-	}
-	if len(names) == 0 && extra == 0 {
+	if len(names) == 0 && len(extras) == 0 {
 		return ""
 	}
 	var b strings.Builder
 	b.WriteByte('{')
-	wrote := false
 	emit := func(n, v string) {
-		if wrote {
+		if b.Len() > 1 {
 			b.WriteByte(',')
 		}
 		b.WriteString(n)
 		b.WriteString(`="`)
 		b.WriteString(escapeLabel(v))
 		b.WriteByte('"')
-		wrote = true
 	}
 	for i, n := range names {
 		emit(n, values[i])
 	}
 	for i := 0; i+1 < len(extras); i += 2 {
-		if extras[i] != "" {
-			emit(extras[i], extras[i+1])
-		}
+		emit(extras[i], extras[i+1])
 	}
 	b.WriteByte('}')
 	return b.String()
@@ -432,13 +421,11 @@ func writeHeader(bw *bufio.Writer, f *family) {
 	fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.typ)
 }
 
-// writeSamples renders one family's sample lines (no header), appending
-// the given extra label pairs (alternating name/value) to every line —
-// the hook composite expositions use to inject a shard label.
-func (f *family) writeSamples(bw *bufio.Writer, extras ...string) {
+// writeSamples renders one family's sample lines (no header).
+func (f *family) writeSamples(bw *bufio.Writer) {
 	if f.collect != nil {
 		for _, s := range f.collect() {
-			fmt.Fprintf(bw, "%s%s %s\n", f.name, labelPairs(f.labels, s.Labels, extras...), formatFloat(s.Value))
+			fmt.Fprintf(bw, "%s%s %s\n", f.name, labelPairs(f.labels, s.Labels), formatFloat(s.Value))
 		}
 		return
 	}
@@ -456,9 +443,9 @@ func (f *family) writeSamples(bw *bufio.Writer, extras ...string) {
 	for _, c := range kids {
 		switch metric := c.metric.(type) {
 		case *Counter:
-			fmt.Fprintf(bw, "%s%s %d\n", f.name, labelPairs(f.labels, c.values, extras...), metric.Value())
+			fmt.Fprintf(bw, "%s%s %d\n", f.name, labelPairs(f.labels, c.values), metric.Value())
 		case *Gauge:
-			fmt.Fprintf(bw, "%s%s %d\n", f.name, labelPairs(f.labels, c.values, extras...), metric.Value())
+			fmt.Fprintf(bw, "%s%s %d\n", f.name, labelPairs(f.labels, c.values), metric.Value())
 		case *Histogram:
 			s := metric.Snapshot()
 			var cum uint64
@@ -468,11 +455,10 @@ func (f *family) writeSamples(bw *bufio.Writer, extras ...string) {
 				if i < len(s.Bounds) {
 					le = formatFloat(s.Bounds[i])
 				}
-				withLe := append(append(make([]string, 0, len(extras)+2), extras...), "le", le)
-				fmt.Fprintf(bw, "%s_bucket%s %d\n", f.name, labelPairs(f.labels, c.values, withLe...), cum)
+				fmt.Fprintf(bw, "%s_bucket%s %d\n", f.name, labelPairs(f.labels, c.values, "le", le), cum)
 			}
-			fmt.Fprintf(bw, "%s_sum%s %s\n", f.name, labelPairs(f.labels, c.values, extras...), formatFloat(s.Sum))
-			fmt.Fprintf(bw, "%s_count%s %d\n", f.name, labelPairs(f.labels, c.values, extras...), cum)
+			fmt.Fprintf(bw, "%s_sum%s %s\n", f.name, labelPairs(f.labels, c.values), formatFloat(s.Sum))
+			fmt.Fprintf(bw, "%s_count%s %d\n", f.name, labelPairs(f.labels, c.values), cum)
 		}
 	}
 }

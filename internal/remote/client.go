@@ -1,8 +1,6 @@
-// Client is the one prover-side entry point for gateway sessions. It
-// replaces the grown-by-accretion free functions (AttestTo, AttestToAs,
-// AttestWithRetry — now deprecated shims) with a single configured
-// object: construct once with functional options, then attest on as many
-// connections as the device dials.
+// Client is the one prover-side entry point for gateway sessions: a
+// single configured object, constructed once with functional options,
+// that attests on as many connections as the device dials.
 package remote
 
 import "io"
@@ -24,10 +22,9 @@ type Client struct {
 // ClientOption configures a Client at construction.
 type ClientOption func(*Client)
 
-// WithDevice announces a stable device identity in the HELO frame: a
-// shard router (internal/router) pins the session by (app, device), so
-// fleet devices that identify themselves land on a consistent replica
-// and reuse its warmed caches.
+// WithDevice announces a stable device identity in the HELO frame: the
+// gateway attributes journal records and healing state to it instead of
+// the ephemeral transport address, so they survive reconnects.
 func WithDevice(device string) ClientOption {
 	return func(c *Client) { c.device = device }
 }

@@ -100,3 +100,36 @@ func FuzzDecodeVerdict(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseHelloID drives the HELO identity parser — the gateway's first
+// read of untrusted bytes, whose device field keys journal attribution
+// and healing state — with arbitrary payloads: it must never panic, must
+// agree with ParseHello on the app, and what it accepts must re-encode
+// to an identical parse (and to the same bytes whenever a device is
+// present). Seeds live in testdata/fuzz/FuzzParseHelloID
+// (tools/fuzzcorpus).
+func FuzzParseHelloID(f *testing.F) {
+	f.Add(EncodeHelloID("prime", "device-00042"))
+	f.Add(EncodeHelloID("prime", ""))
+	f.Add([]byte{})
+	f.Add([]byte{0x01, 'g', 'p', 's'})           // stale protocol version
+	f.Add([]byte{0x02, 0x00, 'd', 'e', 'v'})     // empty app, device only
+	f.Add([]byte{0x02, 'a', 0x00, 'b', 0x00, 0}) // NULs inside the device field
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		app, device, err := ParseHelloID(payload)
+		app2, err2 := ParseHello(payload)
+		if (err == nil) != (err2 == nil) || app != app2 {
+			t.Fatalf("ParseHello disagrees: (%q, %v) vs (%q, %v)", app2, err2, app, err)
+		}
+		if err != nil {
+			return
+		}
+		reenc := EncodeHelloID(app, device)
+		if a, d, err := ParseHelloID(reenc); err != nil || a != app || d != device {
+			t.Fatalf("re-parse of %x: (%q, %q, %v), want (%q, %q)", reenc, a, d, err, app, device)
+		}
+		if device != "" && !bytes.Equal(reenc, payload) {
+			t.Fatalf("re-encode mismatch: %x -> %x", payload, reenc)
+		}
+	})
+}

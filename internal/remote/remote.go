@@ -92,9 +92,9 @@ func EncodeHello(app string) []byte {
 // stable device identity. The device rides after a NUL separator —
 // `u8 version | app | 0x00 | device` — which no application name
 // contains, so the frame stays a valid v2 HELO: endpoints that only
-// care about the app (ParseHello) keep working, while a shard router
-// pins the session by (app, device). An empty device encodes exactly
-// like EncodeHello.
+// care about the app (ParseHello) keep working, while the gateway
+// attributes journal records and healing state to (app, device). An
+// empty device encodes exactly like EncodeHello.
 func EncodeHelloID(app, device string) []byte {
 	p := append([]byte{ProtocolVersion}, app...)
 	if device != "" {
@@ -315,7 +315,7 @@ func mapTruncation(err error) error {
 // ProverEndpoint serves attestation requests for a set of provisioned
 // applications. Each request constructs a fresh Prover via the factory
 // (applications are single-session). Provision before serving; concurrent
-// sessions (ServeOne / AttestTo from many goroutines) are safe.
+// sessions (ServeOne / Client.Attest from many goroutines) are safe.
 type ProverEndpoint struct {
 	mu        sync.RWMutex
 	factories map[string]func() (*core.Prover, error)
@@ -468,27 +468,11 @@ func DecodeVerdict(b []byte) (GatewayVerdict, error) {
 	return GatewayVerdict{OK: ok, Code: code, Detail: string(b[2:])}, nil
 }
 
-// AttestTo drives the prover side of one gateway session on conn.
-//
-// Deprecated: use NewClient(p).Attest(conn, app). This shim survives one
-// release for migration and then goes away.
-func (p *ProverEndpoint) AttestTo(conn io.ReadWriter, app string) (GatewayVerdict, error) {
-	return p.attestBatch(conn, app, "")
-}
-
-// AttestToAs is AttestTo with a stable device identity in the HELO.
-//
-// Deprecated: use NewClient(p, WithDevice(device)).Attest(conn, app).
-// This shim survives one release for migration and then goes away.
-func (p *ProverEndpoint) AttestToAs(conn io.ReadWriter, app, device string) (GatewayVerdict, error) {
-	return p.attestBatch(conn, app, device)
-}
-
 // attestBatch drives the prover side of one report-at-end gateway session
-// on conn: it announces app (and the optional stable device identity a
-// shard router pins sessions by) with a versioned HELO frame, adopts the
-// gateway's session dictionary if one is delivered, answers the challenge
-// while streaming RPRT frames, and returns the gateway's verdict. ErrBusy
+// on conn: it announces app (and the optional stable device identity)
+// with a versioned HELO frame, adopts the gateway's session dictionary if
+// one is delivered, answers the challenge while streaming RPRT frames,
+// and returns the gateway's verdict. ErrBusy
 // reports a shed session; ErrSessionTruncated a gateway that died
 // mid-protocol.
 func (p *ProverEndpoint) attestBatch(conn io.ReadWriter, app, device string) (GatewayVerdict, error) {
@@ -581,7 +565,7 @@ func RequestWithChallenge(conn io.ReadWriter, chal attest.Challenge, verifier *v
 	if err := WriteFrame(conn, FrameChal, chal.Encode()); err != nil {
 		return nil, fmt.Errorf("remote: sending challenge: %w", err)
 	}
-	reports, err := CollectReports(conn)
+	reports, err := ReadReportStream(conn)
 	if err != nil {
 		return nil, err
 	}
@@ -590,13 +574,4 @@ func RequestWithChallenge(conn io.ReadWriter, chal attest.Challenge, verifier *v
 		return nil, err
 	}
 	return &SessionResult{Verdict: verdict, Reports: reports}, nil
-}
-
-// CollectReports reads the Prover's report stream from r until the final
-// report, returning the ordered chain.
-//
-// Deprecated: use ReadReportStream. This shim survives one release for
-// migration and then goes away.
-func CollectReports(r io.Reader) ([]*attest.Report, error) {
-	return ReadReportStream(r)
 }

@@ -58,8 +58,8 @@ func Classify(err error) ErrorClass {
 	return ClassTransient
 }
 
-// RetryPolicy tunes AttestWithRetry. The zero value selects the
-// documented defaults.
+// RetryPolicy tunes Client.AttestDial's retry loop (WithRetry). The zero
+// value selects the documented defaults.
 type RetryPolicy struct {
 	// MaxAttempts bounds total sessions tried, first included (default 5).
 	MaxAttempts int
@@ -87,7 +87,7 @@ type RetryPolicy struct {
 	// that just failed (1-based), its error, and the upcoming delay.
 	OnRetry func(attempt int, err error, delay time.Duration)
 	// Observe, when non-nil, receives the final RetryStats exactly once
-	// per AttestWithRetry call — on success, fatal abort, or exhausted
+	// per retrying AttestDial call — on success, fatal abort, or exhausted
 	// budget alike. This is the observability layer's tap: deployments
 	// fold attempts and BUSY hints into a metrics registry here without
 	// threading counters through every call site.
@@ -156,23 +156,12 @@ func (p RetryPolicy) delay(attempt int, err error) (d time.Duration, hinted bool
 	return d, hinted
 }
 
-// RetryStats summarizes one AttestWithRetry call.
+// RetryStats summarizes one Client.AttestDial call.
 type RetryStats struct {
 	Attempts  int           // sessions dialed (>= 1)
 	Retries   int           // Attempts - 1
 	BusyHints int           // retries whose delay honored a BUSY retry-after hint
 	Waited    time.Duration // total backoff scheduled between attempts
-}
-
-// AttestWithRetry drives gateway sessions for app until one completes,
-// a fatal error is hit, or the attempt budget runs out.
-//
-// Deprecated: use NewClient(p, WithRetry(pol)).AttestDial(app, dial).
-// This shim survives one release for migration and then goes away.
-func (p *ProverEndpoint) AttestWithRetry(app string, dial func() (io.ReadWriteCloser, error), pol RetryPolicy) (GatewayVerdict, RetryStats, error) {
-	return p.attestRetry(dial, pol, func(conn io.ReadWriter) (GatewayVerdict, error) {
-		return p.attestBatch(conn, app, "")
-	})
 }
 
 // attestRetry drives gateway sessions until one completes, a fatal error

@@ -346,7 +346,7 @@ func TestClientStreamingEarlyCut(t *testing.T) {
 }
 
 // TestClientBatch: the Client's default (non-streaming) path speaks the
-// classic RPRT protocol — byte-compatible with the deprecated AttestTo.
+// classic RPRT protocol — byte-compatible with batch Client.Attest.
 func TestClientBatch(t *testing.T) {
 	ep, _, _ := testSetup(t, "prime", 0)
 	cli, srv := net.Pipe()

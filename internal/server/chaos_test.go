@@ -251,11 +251,10 @@ func TestChaosMixedFaultSchedule(t *testing.T) {
 	// breaker shed. (A session can be counted twice — verdict reached,
 	// then the verdict *write* lost to a wire fault also fails it — so the
 	// buckets bound the accepted count from above, and each bucket from
-	// below.)
-	st := g.Snapshot()
-	if st.ActiveSessions != 0 {
-		t.Errorf("sessions still active after drain: %+v", st)
-	}
+	// below.) A prover can read its final frame before the gateway's
+	// session goroutine returns and frees its slot, so the drain is
+	// awaited rather than sampled.
+	st := waitStats(t, g, func(s server.Stats) bool { return s.ActiveSessions == 0 })
 	verdicts := st.VerdictOK + st.VerdictAttack + st.VerdictInconclusive
 	if got := verdicts + st.SessionsFailed + st.BreakerSheds; got < st.SessionsAccepted {
 		t.Errorf("accounting: %d sessions admitted but only %d accounted for", st.SessionsAccepted, got)

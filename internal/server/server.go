@@ -18,7 +18,8 @@
 // integrity rests on the report authenticators, not the transport):
 //
 //   - a max-concurrent-sessions slot limit with graceful shedding: beyond
-//     the cap, a connection is answered with one BUSY frame and closed;
+//     the cap, a connection's HELO is read and answered with one BUSY
+//     frame, then the connection is closed;
 //   - per-I/O read/write deadlines plus an overall session deadline,
 //     enforced on every frame via the timedConn wrapper;
 //   - a bounded worker pool owning the CPU-heavy path reconstruction
@@ -148,37 +149,8 @@ type Gateway struct {
 	jobs  chan verifyJob
 	heals *healRegistry // per-device healing state machine (streaming)
 
-	// dictBus, when set, receives mined dictionary promotions for
-	// fleet-wide distribution instead of local installation (SetDictBus).
-	dictBus atomic.Pointer[DictBus]
-
 	sessions sync.WaitGroup
 	workers  sync.WaitGroup
-}
-
-// DictBus receives locally mined, self-checked dictionary candidates for
-// fleet-wide distribution. A gateway with a bus attached (SetDictBus)
-// never installs its own promotions: the bus assigns a monotonic fleet
-// epoch and installs the canonical merged dictionary on every replica —
-// this gateway included — through AdoptDictionary, so all replicas step
-// through one coherent version sequence. internal/router implements it.
-type DictBus interface {
-	// Propose offers the encoded candidate (already merged with this
-	// gateway's live dictionary and round-trip self-checked against the
-	// mined session's evidence). It may be called from verify-worker
-	// goroutines and must not block on session work.
-	Propose(app string, encoded []byte)
-}
-
-// SetDictBus attaches (or, with nil, detaches) the fleet dictionary
-// distribution bus. Safe to call while serving; sessions in flight keep
-// their dictionary snapshots either way.
-func (g *Gateway) SetDictBus(bus DictBus) {
-	if bus == nil {
-		g.dictBus.Store(nil)
-		return
-	}
-	g.dictBus.Store(&bus)
 }
 
 // New builds a gateway from functional options (see Option) and starts
@@ -328,11 +300,9 @@ func (g *Gateway) Serve(l net.Listener) error {
 
 // ServeConn serves one already-accepted connection synchronously,
 // running the same admission, deadline, and tracing path as connections
-// from Serve's accept loop. It is how a shard router (internal/router)
-// hands a peeked session to its pinned replica: the router re-plays the
-// consumed HELO bytes through a prefix reader, so the gateway's protocol
-// path is byte-identical to a directly dialed session. On a closed
-// gateway the connection is dropped and ErrClosed returned.
+// from Serve's accept loop — for transports that are not a
+// net.Listener, such as in-memory pipes. On a closed gateway the
+// connection is dropped and ErrClosed returned.
 func (g *Gateway) ServeConn(conn net.Conn) error {
 	// The session WaitGroup Add and the Close flag share the mutex,
 	// exactly as in Serve: either this Add happens before Close's Wait,
@@ -348,82 +318,6 @@ func (g *Gateway) ServeConn(conn net.Conn) error {
 	defer g.sessions.Done()
 	g.handleConn(conn)
 	return nil
-}
-
-// Apps returns the registered application names (sorted), the corpus a
-// router sweeps for dictionary distribution and cache warming.
-func (g *Gateway) Apps() []string {
-	g.mu.Lock()
-	names := make([]string, 0, len(g.apps))
-	for name := range g.apps {
-		names = append(names, name)
-	}
-	g.mu.Unlock()
-	slices.Sort(names)
-	return names
-}
-
-// AdoptDictionary installs an externally distributed dictionary version
-// for app: the fleet bus calls it on every replica when a promotion is
-// assigned its fleet epoch. The exact encoded bytes are stored for the
-// DICT handshake — every replica ships bit-identical frames — and the
-// automaton is recompiled against the decoded dictionary, so the version
-// arrives as a consistent dictionary+machine pair. Versions are
-// monotonic: an epoch at or below the app's current version is a stale
-// delivery and is ignored (nil error). Sessions in flight keep their
-// snapshots (the per-session-snapshot invariant survives distribution).
-func (g *Gateway) AdoptDictionary(app string, version uint64, encoded []byte) error {
-	st := g.app(app)
-	if st == nil {
-		return fmt.Errorf("server: unknown application %q", app)
-	}
-	dict, err := speccfa.DecodeDictionary(encoded)
-	if err != nil {
-		return fmt.Errorf("server: adopting dictionary for %s: %w", app, err)
-	}
-	st.dictMu.Lock()
-	defer st.dictMu.Unlock()
-	if version <= st.dict.Load().version {
-		return nil
-	}
-	enc := append([]byte(nil), encoded...)
-	st.dict.Store(&dictState{version: version, dict: dict, encoded: enc, aut: st.compileAut(dict)})
-	g.journalDict(app, version, enc)
-	return nil
-}
-
-// DictSnapshot returns app's current live dictionary version and its
-// encoded DICT-frame bytes (nil when the dictionary is empty or the app
-// is unknown). The pair is one atomic snapshot.
-func (g *Gateway) DictSnapshot(app string) (version uint64, encoded []byte) {
-	st := g.app(app)
-	if st == nil {
-		return 0, nil
-	}
-	ds := st.dict.Load()
-	return ds.version, ds.encoded
-}
-
-// WarmExport dumps up to max relocatable verification-cache records for
-// app (verdicts and segment summaries; see verify.Cache.WarmDump). Nil
-// when the app is unknown or caching is disabled.
-func (g *Gateway) WarmExport(app string, max int) []verify.WarmEntry {
-	st := g.app(app)
-	if st == nil {
-		return nil
-	}
-	return st.cache.WarmDump(max)
-}
-
-// WarmImport loads another replica's WarmExport records into app's
-// cache, returning how many were admitted (already-resident keys are
-// skipped). The gateway's ordinary cache budget and eviction apply.
-func (g *Gateway) WarmImport(app string, entries []verify.WarmEntry) int {
-	st := g.app(app)
-	if st == nil {
-		return 0
-	}
-	return st.cache.WarmLoad(entries)
 }
 
 func (g *Gateway) isClosed() bool {
@@ -489,18 +383,8 @@ func (g *Gateway) handleConn(conn net.Conn) {
 
 	select {
 	case g.slots <- struct{}{}:
-		defer func() { <-g.slots }()
 	default:
-		// At capacity: one best-effort BUSY frame, then hang up. The
-		// write gets its own short deadline so a non-reading client
-		// cannot pin this goroutine either.
-		g.m.shedCapacity.Inc()
-		_ = conn.SetWriteDeadline(time.Now().Add(g.cfg.IOTimeout))
-		if remote.WriteFrame(conn, remote.FrameBusy, remote.EncodeBusy(g.cfg.BusyRetryAfter)) == nil {
-			countFrame(g.m.framesOut[:], remote.FrameBusy)
-		}
-		tr.Finish("shed-busy", "at session capacity")
-		g.obs.Commit(tr)
+		g.shed(conn, tr)
 		return
 	}
 	g.span(tr, obs.StageAccept, -1, time.Since(tr.Began))
@@ -514,13 +398,38 @@ func (g *Gateway) handleConn(conn net.Conn) {
 		bytesIn:   g.m.bytesIn,
 		bytesOut:  g.m.bytesOut,
 	}
-	if err := g.safeSession(tc, deadline, tr); err != nil {
+	err := g.safeSession(tc, deadline, tr)
+	// Free the slot before recording the outcome, so a Snapshot that
+	// counts this session as failed never still counts it as active.
+	<-g.slots
+	if err != nil {
 		g.m.sessionsFailed.Inc()
 		tr.Finish("error", err.Error())
 		if g.cfg.OnSessionError != nil {
 			g.cfg.OnSessionError(conn.RemoteAddr().String(), err)
 		}
 	}
+	g.obs.Commit(tr)
+}
+
+// shed answers a connection that arrived at capacity with one
+// best-effort BUSY frame. The client's HELO is read first (bounded by
+// IOTimeout and remote.MaxFrame): closing a TCP connection with unread
+// bytes sends an RST, which the client would see as a reset instead of
+// BUSY, and over a synchronous pipe the BUSY write and the HELO write
+// would block each other until the timeout. Each step gets its own
+// deadline so a silent or non-reading client cannot pin this goroutine.
+func (g *Gateway) shed(conn net.Conn, tr *obs.Trace) {
+	g.m.shedCapacity.Inc()
+	_ = conn.SetReadDeadline(time.Now().Add(g.cfg.IOTimeout))
+	if typ, _, err := remote.ReadFrame(conn); err == nil {
+		countFrame(g.m.framesIn[:], typ)
+	}
+	_ = conn.SetWriteDeadline(time.Now().Add(g.cfg.IOTimeout))
+	if remote.WriteFrame(conn, remote.FrameBusy, remote.EncodeBusy(g.cfg.BusyRetryAfter)) == nil {
+		countFrame(g.m.framesOut[:], remote.FrameBusy)
+	}
+	tr.Finish("shed-busy", "at session capacity")
 	g.obs.Commit(tr)
 }
 
@@ -824,19 +733,12 @@ func (g *Gateway) maybeMine(st *appState, vd *verify.Verdict) {
 	if err != nil || mined.Len() == 0 {
 		return
 	}
-	if propose, ok := g.mineCandidate(st, mined, vd); ok {
-		// Propose outside dictMu: the bus delivers the epoch-stamped
-		// canonical version back through AdoptDictionary, which takes the
-		// same mutex on this very gateway.
-		propose()
-	}
+	g.promote(st, mined, vd)
 }
 
-// mineCandidate runs the promotion critical section for one mined
-// dictionary: merge, self-check, and either local installation or — with
-// a fleet bus attached — a deferred Propose for the caller to run after
-// the dictionary mutex is released.
-func (g *Gateway) mineCandidate(st *appState, mined *speccfa.Dictionary, vd *verify.Verdict) (propose func(), ok bool) {
+// promote runs the promotion critical section for one mined dictionary:
+// merge with the live dictionary, self-check, install.
+func (g *Gateway) promote(st *appState, mined *speccfa.Dictionary, vd *verify.Verdict) {
 	st.dictMu.Lock()
 	defer st.dictMu.Unlock()
 	cur := st.dict.Load()
@@ -863,16 +765,6 @@ func (g *Gateway) mineCandidate(st *appState, mined *speccfa.Dictionary, vd *ver
 		g.m.dictQuarantines.Inc()
 		return
 	}
-	// With a fleet bus attached the checked candidate goes out for
-	// distribution instead of installing locally: the bus assigns the
-	// fleet epoch and delivers the canonical merged version back through
-	// AdoptDictionary on every replica, this gateway included, keeping
-	// all replicas on one monotonic version sequence.
-	if bus := g.dictBus.Load(); bus != nil {
-		g.m.dictPromotions.Add(uint64(added))
-		b := *bus
-		return func() { b.Propose(st.name, encoded) }, true
-	}
 	// Store the dictionary decoded FROM the checked bytes: provers (DICT
 	// frame) and the verifier (expansion) derive from identical bits. The
 	// automaton is recompiled against the checked dictionary so the new
@@ -880,7 +772,6 @@ func (g *Gateway) mineCandidate(st *appState, mined *speccfa.Dictionary, vd *ver
 	st.dict.Store(&dictState{version: cur.version + 1, dict: checked, encoded: encoded, aut: st.compileAut(checked)})
 	g.m.dictPromotions.Add(uint64(added))
 	g.journalDict(st.name, cur.version+1, encoded)
-	return nil, false
 }
 
 // ObserveProverRetries folds prover-side retry counts into the gateway

@@ -322,6 +322,64 @@ func TestGatewayServeAfterCloseFails(t *testing.T) {
 	}
 }
 
+// TestGatewayServeConnShedsAtCapacity holds the only slot and sends a
+// second session through ServeConn over a synchronous net.Pipe: the
+// gateway must read the HELO before answering BUSY, or its BUSY write and
+// the client's HELO write block each other until the I/O timeout.
+func TestGatewayServeConnShedsAtCapacity(t *testing.T) {
+	f := fixture(t, "prime")
+	g := server.New(server.WithSessionSlots(1), server.WithTimeouts(10*time.Second, 3*time.Second))
+	g.Register("prime", core.NewVerifier(f.link, f.key))
+	defer g.Close()
+	ep := remote.NewProverEndpoint()
+	f.provision(ep, 0)
+	serve := func() (net.Conn, <-chan error) {
+		cc, sc := net.Pipe()
+		done := make(chan error, 1)
+		go func() { done <- g.ServeConn(sc) }()
+		return cc, done
+	}
+
+	holder, holderDone := serve()
+	if err := remote.WriteFrame(holder, remote.FrameHello, remote.EncodeHello("prime")); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := remote.ReadFrame(holder); err != nil || typ != remote.FrameChal {
+		t.Fatalf("holder challenge: type %d, err %v", typ, err)
+	}
+
+	cc, done := serve()
+	_ = cc.SetDeadline(time.Now().Add(time.Second))
+	_, err := attestApp(ep, cc, "prime")
+	cc.Close()
+	if !errors.Is(err, remote.ErrBusy) {
+		t.Fatalf("errors.Is(err, remote.ErrBusy) = false; err = %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Errorf("ServeConn: %v", err)
+	}
+	if st := g.Snapshot(); st.SessionsRejected != 1 || st.ActiveSessions != 1 {
+		t.Errorf("stats = %+v", st)
+	}
+	holder.Close()
+	<-holderDone
+}
+
+func TestGatewayServeConnAfterCloseFails(t *testing.T) {
+	g := server.New()
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cc, sc := net.Pipe()
+	defer cc.Close()
+	if err := g.ServeConn(sc); !errors.Is(err, server.ErrClosed) {
+		t.Fatalf("ServeConn on closed gateway: %v", err)
+	}
+	if _, err := cc.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Errorf("connection not dropped: read err = %v", err)
+	}
+}
+
 func TestStatsString(t *testing.T) {
 	g, addr, ep := startGateway(t, nil, "prime")
 	if _, err := attestApp(ep, dial(t, addr), "prime"); err != nil {

@@ -169,84 +169,6 @@ func (g *Gateway) Snapshot() Stats {
 	return s
 }
 
-// MergeStats folds per-replica snapshots into one fleet-level Stats
-// value: counters sum, gauges (ActiveSessions, CacheEntries, CacheBytes,
-// DictPaths) sum across replicas, and the verify-latency histograms
-// merge bucket-by-bucket (every gateway uses one bucket layout; a
-// replica snapshot with a divergent layout contributes its totals but
-// not its buckets). A router composes its shards' snapshots with this
-// instead of letting the last shard's snapshot clobber the rest.
-func MergeStats(ss ...Stats) Stats {
-	var out Stats
-	for _, s := range ss {
-		out.SessionsStarted += s.SessionsStarted
-		out.SessionsAccepted += s.SessionsAccepted
-		out.SessionsRejected += s.SessionsRejected
-		out.SessionsFailed += s.SessionsFailed
-		out.ActiveSessions += s.ActiveSessions
-		out.VerdictOK += s.VerdictOK
-		out.VerdictAttack += s.VerdictAttack
-		out.VerdictInconclusive += s.VerdictInconclusive
-		for i := range s.Rejections {
-			out.Rejections[i] += s.Rejections[i]
-		}
-		out.BytesIn += s.BytesIn
-		out.BytesOut += s.BytesOut
-		out.Verifications += s.Verifications
-		out.VerifyTotal += s.VerifyTotal
-		out.VerifyHist = mergeHist(out.VerifyHist, s.VerifyHist)
-		out.CacheHits += s.CacheHits
-		out.CacheMisses += s.CacheMisses
-		out.CacheEvictions += s.CacheEvictions
-		out.CacheEntries += s.CacheEntries
-		out.CacheBytes += s.CacheBytes
-		out.MinedSessions += s.MinedSessions
-		out.DictPromotions += s.DictPromotions
-		out.DictPaths += s.DictPaths
-		out.DictQuarantines += s.DictQuarantines
-		out.AutomatonDecodes += s.AutomatonDecodes
-		out.AutomatonAccepts += s.AutomatonAccepts
-		out.AutomatonNoPaths += s.AutomatonNoPaths
-		out.AutomatonFallbacks += s.AutomatonFallbacks
-		out.AutomatonRescues += s.AutomatonRescues
-		out.AutomatonCompiles += s.AutomatonCompiles
-		out.StreamSessions += s.StreamSessions
-		out.StreamSlices += s.StreamSlices
-		out.StreamAlarms += s.StreamAlarms
-		out.StreamEarlyCuts += s.StreamEarlyCuts
-		out.StreamTagBreaks += s.StreamTagBreaks
-		out.HealDirectives += s.HealDirectives
-		out.HealAcks += s.HealAcks
-		out.PanicsRecovered += s.PanicsRecovered
-		out.BreakerOpens += s.BreakerOpens
-		out.BreakerHalfOpens += s.BreakerHalfOpens
-		out.BreakerCloses += s.BreakerCloses
-		out.BreakerSheds += s.BreakerSheds
-		out.ProverRetries += s.ProverRetries
-	}
-	return out
-}
-
-// mergeHist adds b's buckets into a when the layouts agree; an empty a
-// adopts b's layout.
-func mergeHist(a, b []HistBucket) []HistBucket {
-	if len(a) == 0 {
-		return append([]HistBucket(nil), b...)
-	}
-	if len(a) != len(b) {
-		return a
-	}
-	for i := range b {
-		if a[i].Le != b[i].Le {
-			return a
-		}
-	}
-	for i := range b {
-		a[i].Count += b[i].Count
-	}
-	return a
-}
-
 // String renders the snapshot as the multi-line block `raptrack serve`
 // prints on shutdown.
 func (s Stats) String() string {

@@ -89,7 +89,7 @@ func TestGatewayStressConcurrent(t *testing.T) {
 		t.Error(err)
 	}
 
-	// Quiescent now (every AttestTo returned after the gateway's final
+	// Quiescent now (every Attest returned after the gateway's final
 	// frame), so the counters must balance exactly.
 	st := g.Snapshot()
 	wantOK := uint64(benignPrime + benignGPS + streamed)

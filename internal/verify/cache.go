@@ -340,71 +340,6 @@ func (c *Cache) storeSegment(hmem [sha256.Size]byte, sg *segSummary) {
 	c.put(k, &segBucket{variants: variants}, size)
 }
 
-// --- cross-shard warming ---------------------------------------------
-
-// WarmEntry is one relocatable cache record in transit between caches
-// (Cache.WarmDump / Cache.WarmLoad). The payload is opaque: both cached
-// value kinds — whole-stream verdicts and deterministic segment
-// summaries — are pure functions of their key and immutable once
-// stored, so sharing them between the caches of gateway replicas can
-// never produce a result the receiving cache's own walks would not have
-// produced.
-type WarmEntry struct {
-	key  cacheKey
-	val  any
-	size int64
-}
-
-// WarmDump exports up to max cache records, most-recently-used first
-// within each shard, as relocatable entries a peer cache can WarmLoad.
-// max <= 0 exports everything resident.
-func (c *Cache) WarmDump(max int) []WarmEntry {
-	if c == nil {
-		return nil
-	}
-	var out []WarmEntry
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for el := sh.lru.Front(); el != nil; el = el.Next() {
-			if max > 0 && len(out) >= max {
-				break
-			}
-			e := el.Value.(*cacheEntry)
-			out = append(out, WarmEntry{key: e.key, val: e.val, size: e.size})
-		}
-		sh.mu.Unlock()
-		if max > 0 && len(out) >= max {
-			break
-		}
-	}
-	return out
-}
-
-// WarmLoad imports entries produced by another cache's WarmDump,
-// skipping keys already resident (the local copy is at least as fresh)
-// and respecting the byte budget exactly like locally stored values.
-// It returns how many entries were admitted. Hit/miss counters are
-// untouched: warming is not a lookup.
-func (c *Cache) WarmLoad(entries []WarmEntry) int {
-	if c == nil {
-		return 0
-	}
-	added := 0
-	for _, e := range entries {
-		sh := c.shard(e.key)
-		sh.mu.Lock()
-		_, dup := sh.items[e.key]
-		sh.mu.Unlock()
-		if dup {
-			continue
-		}
-		c.put(e.key, e.val, e.size)
-		added++
-	}
-	return added
-}
-
 func loopMapsEqual(a, b loopMap) bool {
 	if len(a) != len(b) {
 		return false

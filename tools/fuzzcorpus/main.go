@@ -125,9 +125,8 @@ func main() {
 			"seed-empty":   {},
 			"seed-garbage": bytes.Repeat([]byte{0xff}, attest.NonceSize+4),
 		},
-		// FuzzRouterHello inputs: a raw HELO payload (not framed) — the
-		// bytes the router peeks at before pinning a session to a shard.
-		"internal/router/testdata/fuzz/FuzzRouterHello": {
+		// FuzzParseHelloID inputs: a raw HELO payload (not framed).
+		"internal/remote/testdata/fuzz/FuzzParseHelloID": {
 			"seed-full-id":   remote.EncodeHelloID("prime", "device-00042"),
 			"seed-app-only":  remote.EncodeHello("gps"),
 			"seed-no-sep":    {0x02, 'p', 'r', 'i', 'm', 'e'},
