@@ -29,7 +29,7 @@ race:
 # Execute the fuzz seed corpora as regression tests (no fuzzing time;
 # use `go test -fuzz FuzzReadFrame ./internal/remote` to actually fuzz).
 fuzz:
-	$(GO) test -run Fuzz ./internal/remote ./internal/attest ./internal/core ./internal/trace/pipeline
+	$(GO) test -run Fuzz ./internal/remote ./internal/attest ./internal/core ./internal/trace/pipeline ./internal/speccfa
 
 # Short coverage-guided fuzzing of every target (one at a time: the Go
 # fuzzer allows a single -fuzz pattern per package invocation). 30s per
@@ -45,6 +45,7 @@ fuzz-smoke: fuzz
 	$(GO) test -run xxx -fuzz FuzzDecodeChallenge -fuzztime $(FUZZTIME) ./internal/attest
 	$(GO) test -run xxx -fuzz FuzzAutomatonDifferential -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzPipelineDecode -fuzztime $(FUZZTIME) ./internal/trace/pipeline
+	$(GO) test -run xxx -fuzz FuzzMineDifferential -fuzztime $(FUZZTIME) ./internal/speccfa
 
 # Regenerate the checked-in seed corpora under testdata/fuzz/.
 fuzz-corpus:

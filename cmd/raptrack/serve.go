@@ -50,7 +50,7 @@ func cmdServe(args []string) error {
 	sessionTimeout := fs.Duration("session-timeout", 30*time.Second, "whole-session deadline")
 	ioTimeout := fs.Duration("io-timeout", 10*time.Second, "per-read/write deadline")
 	cacheBytes := fs.Int64("cache-bytes", 0, "verification cache budget in bytes (0: 64 MiB default, negative: off)")
-	mineEvery := fs.Int("mine-every", 0, "mine the dictionary every Nth accepted session (0: default 16, negative: off)")
+	mineEvery := fs.Int("mine-every", 0, "mine the dictionary every Nth accepted session that missed the verdict cache (0: default 16, negative: off)")
 	minePaths := fs.Int("mine-paths", 0, "sub-paths to mine per pass (0: default 8)")
 	maxDictPaths := fs.Int("max-dict-paths", 0, "live dictionary size cap (0: default 32)")
 	busyRetryAfter := fs.Duration("busy-retry-after", 0, "retry-after hint carried in BUSY sheds (0: no hint)")

@@ -60,15 +60,15 @@ import (
 
 // Frame types.
 const (
-	FrameChal    byte = 1 // Verifier->Prover: challenge
-	FrameRprt    byte = 2 // Prover->Verifier: (partial) report
-	FrameFail    byte = 3 // either direction: error string
-	FrameHello   byte = 4 // Prover->Verifier: app announce (gateway mode)
-	FrameBusy    byte = 5 // Verifier->Prover: session shed at capacity
-	FrameVerdict byte = 6 // Verifier->Prover: session verdict summary
-	FrameDict    byte = 7 // Verifier->Prover: session SpecCFA dictionary
-	FrameSlice   byte = 8 // Prover->Verifier: streaming evidence slice
-	FrameHeal    byte = 9 // Verifier->Prover: remediation directive
+	FrameChal    byte = 1  // Verifier->Prover: challenge
+	FrameRprt    byte = 2  // Prover->Verifier: (partial) report
+	FrameFail    byte = 3  // either direction: error string
+	FrameHello   byte = 4  // Prover->Verifier: app announce (gateway mode)
+	FrameBusy    byte = 5  // Verifier->Prover: session shed at capacity
+	FrameVerdict byte = 6  // Verifier->Prover: session verdict summary
+	FrameDict    byte = 7  // Verifier->Prover: session SpecCFA dictionary
+	FrameSlice   byte = 8  // Prover->Verifier: streaming evidence slice
+	FrameHeal    byte = 9  // Verifier->Prover: remediation directive
 	FrameHealAck byte = 10 // Prover->Verifier: HEAL acknowledgement
 )
 
@@ -134,15 +134,13 @@ const MaxFrame = 1 << 20
 // FrameHeaderSize is the fixed `u8 type | u32 len` frame prefix.
 const FrameHeaderSize = 5
 
-// WriteFrame emits one length-prefixed frame.
+// WriteFrame emits one length-prefixed frame in a single Write call: one
+// write syscall, and on a gateway connection one deadline reset, per frame.
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
-	hdr := make([]byte, FrameHeaderSize)
-	hdr[0] = typ
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	buf := make([]byte, FrameHeaderSize, FrameHeaderSize+len(payload))
+	buf[0] = typ
+	binary.LittleEndian.PutUint32(buf[1:], uint32(len(payload)))
+	_, err := w.Write(append(buf, payload...))
 	return err
 }
 

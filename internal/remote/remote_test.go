@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"strings"
@@ -226,6 +227,36 @@ func TestFrameLimits(t *testing.T) {
 	}
 }
 
+// writeCounter records every Write call it receives.
+type writeCounter struct {
+	calls int
+	data  []byte
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.calls++
+	w.data = append(w.data, p...)
+	return len(p), nil
+}
+
+// TestWriteFrameOneWrite: a frame, header and payload, reaches the writer
+// in exactly one Write call (one syscall on a socket), and reads back.
+func TestWriteFrameOneWrite(t *testing.T) {
+	for _, payload := range [][]byte{nil, []byte("x"), make([]byte, 4096)} {
+		var w writeCounter
+		if err := WriteFrame(&w, FrameChal, payload); err != nil {
+			t.Fatal(err)
+		}
+		if w.calls != 1 {
+			t.Errorf("%d-byte payload: %d Write calls, want 1", len(payload), w.calls)
+		}
+		typ, got, err := ReadFrame(bytes.NewReader(w.data))
+		if err != nil || typ != FrameChal || !bytes.Equal(got, payload) {
+			t.Errorf("%d-byte payload read back as type %d, %d bytes, err %v", len(payload), typ, len(got), err)
+		}
+	}
+}
+
 // TestRequestErrorPaths drives the Verifier side against scripted peer
 // behavior: every malformed or adversarial stream must fail with a
 // descriptive error (and the right sentinel where one exists).
@@ -235,8 +266,8 @@ func TestRequestErrorPaths(t *testing.T) {
 		name string
 		// peer scripts the prover side after reading the challenge
 		peer    func(t *testing.T, conn net.Conn)
-		wantSub string       // substring of the error
-		wantIs  error        // optional sentinel for errors.Is
+		wantSub string // substring of the error
+		wantIs  error  // optional sentinel for errors.Is
 	}{
 		{
 			name: "wrong frame type",
@@ -274,8 +305,8 @@ func TestRequestErrorPaths(t *testing.T) {
 			wantIs: attest.ErrBadReport,
 		},
 		{
-			name: "immediate close",
-			peer: func(t *testing.T, conn net.Conn) {},
+			name:   "immediate close",
+			peer:   func(t *testing.T, conn net.Conn) {},
 			wantIs: ErrSessionTruncated,
 		},
 	}

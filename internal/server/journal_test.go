@@ -40,7 +40,9 @@ func TestGatewayJournalsEveryVerdict(t *testing.T) {
 	// (and its in-flight appends) before the journal.
 	t.Cleanup(func() { _ = j.Close() })
 
-	g, addr, ep := startGateway(t, []server.Option{server.WithJournal(j)}, "prime")
+	// Mining every acceptance promotes a dictionary mid-run, so the log
+	// holds verdicts under more than one dictionary version.
+	g, addr, ep := startGateway(t, []server.Option{server.WithJournal(j), server.WithMining(1, 0, 0)}, "prime")
 	const sessions = 6
 	for i := 0; i < sessions; i++ {
 		gv, err := attestApp(ep, dial(t, addr), "prime")
@@ -52,19 +54,33 @@ func TestGatewayJournalsEveryVerdict(t *testing.T) {
 		}
 	}
 	waitStats(t, g, func(s server.Stats) bool { return s.VerdictOK == sessions })
-	// The commit happens just after the verdict is delivered — poll.
-	waitJournal(t, j, func(c journal.Counters) bool { return c.Appended >= sessions })
+	// The commit happens just after the verdict is delivered, and the
+	// dictionary records share the counter: drain the workers instead.
+	g.Close()
 
 	rep, err := journal.ScanDir(nil, dir)
 	if err != nil || rep.Break != nil {
 		t.Fatalf("scan: break=%v, err=%v", rep.Break, err)
 	}
 	verdicts := 0
+	dicts := map[string]map[uint64]bool{} // app -> dictionary versions journaled so far
 	for _, rec := range rep.Records {
+		if rec.Kind == journal.KindDict {
+			if dicts[rec.App] == nil {
+				dicts[rec.App] = map[uint64]bool{}
+			}
+			dicts[rec.App][rec.DictVersion] = true
+			continue
+		}
 		if rec.Kind != journal.KindVerdict {
-			continue // dictionary snapshots ride along
+			continue
 		}
 		verdicts++
+		// Replay resolves a verdict's dictionary from the records before
+		// it; version 0 without a record is the registered one.
+		if rec.DictVersion != 0 && !dicts[rec.App][rec.DictVersion] {
+			t.Fatalf("verdict seq %d names dictionary v%d before its record", rec.Seq, rec.DictVersion)
+		}
 		if rec.App != "prime" || rec.Device == "" {
 			t.Fatalf("verdict record missing identity: %+v", rec)
 		}
@@ -77,6 +93,9 @@ func TestGatewayJournalsEveryVerdict(t *testing.T) {
 	}
 	if verdicts != sessions {
 		t.Fatalf("journaled %d verdicts for %d sessions", verdicts, sessions)
+	}
+	if len(dicts["prime"]) == 0 {
+		t.Fatal("no dictionary version journaled: mining never promoted")
 	}
 }
 

@@ -60,8 +60,9 @@ type config struct {
 	// default; negative: no cache is attached at Register).
 	CacheBytes int64
 	// MineEvery runs speccfa.Mine on the evidence of every MineEvery-th
-	// accepted session per app, starting with the first (0: default 16;
-	// negative: mining off).
+	// accepted session per app that missed the verdict cache, starting
+	// with the first (0: default 16; negative: mining off). Without a
+	// cache every accepted session counts.
 	MineEvery int
 	// MinePaths caps the sub-paths one mining pass may surface (default 8).
 	MinePaths int
@@ -176,10 +177,14 @@ func WithCache(bytes int64) Option {
 	return func(s *settings) { s.cfg.CacheBytes = bytes }
 }
 
-// WithMining tunes online SpecCFA mining: every-th accepted session per
-// app is mined (0: default 16; negative: mining off), each pass surfaces
-// at most paths sub-paths (<= 0: default 8), and the live dictionary may
-// grow to maxDictPaths (<= 0: default 32, hard limit speccfa.MaxPaths).
+// WithMining tunes online SpecCFA mining: every every-th accepted session
+// per app that missed the verdict cache is mined (0: default 16;
+// negative: mining off), each pass surfaces at most paths sub-paths
+// (<= 0: default 8), and the live dictionary may grow to maxDictPaths
+// (<= 0: default 32, hard limit speccfa.MaxPaths). Verdict-cache hits are
+// not counted: their evidence was mined, or skipped by the cadence, when
+// it first missed, and mining it again could not promote anything. With
+// the cache off (WithCache(-1)) every accepted session counts.
 func WithMining(every, paths, maxDictPaths int) Option {
 	return func(s *settings) {
 		s.cfg.MineEvery = every

@@ -113,8 +113,10 @@ func TestFaultsBreakerOpensShedsRecovers(t *testing.T) {
 	if be.RetryAfter <= 0 || be.RetryAfter > cooldown {
 		t.Errorf("retry-after hint = %v, want in (0, %v]", be.RetryAfter, cooldown)
 	}
-	st := g.Snapshot()
-	if st.BreakerSheds == 0 || st.Verifications != 2 || st.SessionsFailed != 2 {
+	// A client can read its FAIL frame before the gateway's session
+	// goroutine counts the failure: await the second one.
+	st := waitStats(t, g, func(s server.Stats) bool { return s.SessionsFailed == 2 })
+	if st.BreakerSheds == 0 || st.Verifications != 2 {
 		t.Errorf("stats = %+v", st)
 	}
 

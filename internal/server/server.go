@@ -46,10 +46,11 @@
 //
 // Each registered app gets a shared verify.Cache (unless disabled), so
 // concurrent and successive sessions attesting identical firmware reuse
-// pushdown work; and after accepted verdicts the gateway periodically
-// mines the consumed evidence for hot sub-paths (speccfa.Mine), promoting
-// them into a live dictionary delivered to provers in the DICT handshake
-// frame — future CFLogs shrink without re-provisioning devices.
+// pushdown work; and after accepted verdicts that missed the cache the
+// gateway periodically mines the consumed evidence for hot sub-paths
+// (speccfa.Mine), promoting them into a live dictionary delivered to
+// provers in the DICT handshake frame — future CFLogs shrink without
+// re-provisioning devices.
 package server
 
 import (
@@ -79,9 +80,9 @@ type appState struct {
 	verifier *verify.Verifier
 	cache    *verify.Cache // nil when caching is disabled
 
-	dict     atomic.Pointer[dictState]
-	dictMu   sync.Mutex    // serializes mining promotions
-	accepted atomic.Uint64 // accepted sessions (mining cadence)
+	dict   atomic.Pointer[dictState]
+	dictMu sync.Mutex    // serializes mining promotions
+	misses atomic.Uint64 // accepted verdicts that missed the verdict cache (mining cadence)
 
 	// autOn gates the compiled automaton engine for this app's sessions
 	// (WithAutomaton); autCtrs outlives the per-dictState machines so
@@ -211,13 +212,15 @@ func (g *Gateway) Register(app string, v *verify.Verifier) {
 		brk:      breaker{threshold: g.cfg.BreakerThreshold, cooldown: g.cfg.BreakerCooldown},
 	}
 	ds := st.newDictState(0, v.Speculation())
+	// Journal the version before any session can load it, so its record
+	// precedes every verdict that names it.
+	if len(ds.encoded) > 0 {
+		g.journalDict(app, ds.version, ds.encoded)
+	}
 	st.dict.Store(ds)
 	g.mu.Lock()
 	g.apps[app] = st
 	g.mu.Unlock()
-	if len(ds.encoded) > 0 {
-		g.journalDict(app, ds.version, ds.encoded)
-	}
 }
 
 // newDictState freezes one immutable dictionary version for the app,
@@ -717,14 +720,23 @@ func (g *Gateway) runJob(job verifyJob) {
 }
 
 // maybeMine runs the online mining cadence for one accepted verdict: every
-// MineEvery-th acceptance per app (starting with the first) the consumed
-// evidence is mined and new hot sub-paths are promoted into the app's live
-// dictionary, to be delivered to the next sessions' provers.
+// MineEvery-th acceptance per app that missed the verdict cache (starting
+// with the first) the consumed evidence is mined and new hot sub-paths are
+// promoted into the app's live dictionary, to be delivered to the next
+// sessions' provers.
+//
+// A cache hit is skipped without counting: the same expanded evidence
+// under the same H_MEM already passed through here on a miss, Mine is a
+// pure function of it, and the live dictionary only grows, so mining it
+// again could never promote anything. The price is that evidence whose
+// first sighting fell off the cadence is never mined while it stays
+// cached, and a quarantined promotion is retried only on new evidence.
+// Without a cache every acceptance counts.
 func (g *Gateway) maybeMine(st *appState, vd *verify.Verdict) {
-	if g.cfg.MineEvery <= 0 {
+	if g.cfg.MineEvery <= 0 || vd.Timing.CacheHit {
 		return
 	}
-	n := st.accepted.Add(1)
+	n := st.misses.Add(1)
 	if (n-1)%uint64(g.cfg.MineEvery) != 0 {
 		return
 	}
@@ -768,10 +780,13 @@ func (g *Gateway) promote(st *appState, mined *speccfa.Dictionary, vd *verify.Ve
 	// Store the dictionary decoded FROM the checked bytes: provers (DICT
 	// frame) and the verifier (expansion) derive from identical bits. The
 	// automaton is recompiled against the checked dictionary so the new
-	// version ships as a consistent dictionary+machine pair.
-	st.dict.Store(&dictState{version: cur.version + 1, dict: checked, encoded: encoded, aut: st.compileAut(checked)})
+	// version ships as a consistent dictionary+machine pair. The version is
+	// journaled before it is published, so its record precedes every
+	// verdict that names it (replay resolves versions in journal order).
+	next := &dictState{version: cur.version + 1, dict: checked, encoded: encoded, aut: st.compileAut(checked)}
+	g.journalDict(st.name, next.version, encoded)
+	st.dict.Store(next)
 	g.m.dictPromotions.Add(uint64(added))
-	g.journalDict(st.name, cur.version+1, encoded)
 }
 
 // ObserveProverRetries folds prover-side retry counts into the gateway

@@ -499,6 +499,48 @@ func TestGatewayFastPathDisabled(t *testing.T) {
 	}
 }
 
+// TestGatewayMiningCadenceCountsCacheMisses: identical sessions are mined
+// once with the verdict cache on — every repeat is a cache hit and could
+// never promote anything — and on every MineEvery-th acceptance with it
+// off.
+func TestGatewayMiningCadenceCountsCacheMisses(t *testing.T) {
+	const sessions, every = 5, 2
+	for _, tc := range []struct {
+		name  string
+		opts  []server.Option
+		mined uint64
+	}{
+		{"cache", nil, 1},
+		{"no-cache", []server.Option{server.WithCache(-1)}, (sessions + every - 1) / every},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, addr, ep := startGateway(t, append(tc.opts, server.WithMining(every, 0, 0)), "prime")
+			for i := 0; i < sessions; i++ {
+				gv, err := attestApp(ep, dial(t, addr), "prime")
+				if err != nil {
+					t.Fatalf("session %d: %v", i, err)
+				}
+				if !gv.OK {
+					t.Fatalf("session %d verdict: %s", i, gv.Reason())
+				}
+			}
+			// Mining runs on the worker after delivery: drain the pool
+			// before reading its counters.
+			g.Close()
+			st := g.Snapshot()
+			if st.VerdictOK != sessions {
+				t.Fatalf("%d accepted verdicts for %d sessions: %+v", st.VerdictOK, sessions, st)
+			}
+			if st.MinedSessions != tc.mined {
+				t.Errorf("mined %d of %d sessions, want %d (cache hits %d)", st.MinedSessions, sessions, tc.mined, st.CacheHits)
+			}
+			if st.DictPromotions == 0 {
+				t.Errorf("the first mining pass promoted nothing: %+v", st)
+			}
+		})
+	}
+}
+
 // TestGatewayRejectionBuckets: an H_MEM-mismatched prover lands in the
 // typed rejection bucket, not just the aggregate attack counter.
 func TestGatewayRejectionBuckets(t *testing.T) {

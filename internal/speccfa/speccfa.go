@@ -19,10 +19,12 @@
 package speccfa
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"raptrack/internal/trace"
-	"raptrack/internal/trace/pipeline"
 )
 
 // MarkerBase is the source-address namespace for marker packets.
@@ -173,6 +175,13 @@ func (d *Dictionary) Decompress(stream []trace.Packet) ([]trace.Packet, error) {
 // Verifier's reconstruction input from a previous accepted session): it
 // scores subsequences of length minLen..maxLen by the bytes a compression
 // pass would save and keeps the best non-redundant maxPaths of them.
+//
+// Counting allocates nothing per window. Windows are numbered by length,
+// shortest first: two windows of length l are equal exactly when their
+// prefixes and suffixes of length l-1 are, so the pair of those classes
+// is an exact integer key. A window that occurs once cannot grow into one
+// that occurs twice, so it drops out of the longer lengths. A candidate
+// is a span of the stream, copied only if the dictionary keeps it.
 func Mine(stream []trace.Packet, maxPaths, minLen, maxLen int) (*Dictionary, error) {
 	if maxPaths <= 0 || maxPaths > MaxPaths {
 		maxPaths = 16
@@ -183,55 +192,76 @@ func Mine(stream []trace.Packet, maxPaths, minLen, maxLen int) (*Dictionary, err
 	if maxLen < minLen {
 		maxLen = minLen
 	}
+	// No window is longer than the stream.
+	maxLen = min(maxLen, len(stream))
+
 	type cand struct {
-		seq    []trace.Packet
-		saving int
+		first, n int // stream[first : first+n]
+		saving   int
 	}
-	var cands []cand
-	// Windows overlapping a marker-range source are not minable: markers
-	// stand for already-compressed sub-paths, and a dictionary path may
-	// never contain one. nextMarker[i] is the smallest j >= i with a
-	// marker at j (len(stream) when none), so each window is a range check.
-	nextMarker := make([]int, len(stream)+1)
-	nextMarker[len(stream)] = len(stream)
-	for i := len(stream) - 1; i >= 0; i-- {
-		if stream[i].Src >= MarkerBase {
-			nextMarker[i] = i
-		} else {
-			nextMarker[i] = nextMarker[i+1]
-		}
-	}
-	for l := maxLen; l >= minLen; l-- {
-		counts := make(map[string]int)
-		firsts := make(map[string]int)
+	var (
+		cands []cand
+		// cls[i] is the class of the window of the current length at i,
+		// or -1 when the window is not minable or occurs only once.
+		// Windows overlapping a marker-range source are not minable:
+		// markers stand for already-compressed sub-paths, and a
+		// dictionary path may never contain one.
+		cls         = make([]int32, len(stream))
+		ids         = make(map[uint64]int32) // window key -> class
+		count, prev []int32                  // occurrences per class, this length and the last
+		first       []int32                  // first occurrence per class
+	)
+	for l := 1; l <= maxLen; l++ {
+		clear(ids)
+		prev, count, first = count, prev[:0], first[:0]
 		for i := 0; i+l <= len(stream); i++ {
-			if nextMarker[i] < i+l {
-				continue
+			var key uint64
+			if l == 1 {
+				if stream[i].Src >= MarkerBase {
+					cls[i] = -1
+					continue
+				}
+				key = uint64(stream[i].Src)<<32 | uint64(stream[i].Dst)
+			} else {
+				// cls[i+1] still holds its length l-1 class.
+				pre, suf := cls[i], cls[i+1]
+				if pre < 0 || suf < 0 || prev[pre] < 2 || prev[suf] < 2 {
+					cls[i] = -1
+					continue
+				}
+				key = uint64(pre)<<32 | uint64(suf)
 			}
-			key := packetsKey(stream[i : i+l])
-			if _, ok := firsts[key]; !ok {
-				firsts[key] = i
+			id, ok := ids[key]
+			if !ok {
+				id = int32(len(count))
+				ids[key] = id
+				count = append(count, 0)
+				first = append(first, int32(i))
 			}
-			counts[key]++
+			count[id]++
+			cls[i] = id
 		}
-		for key, n := range counts {
-			if n < 2 {
-				continue
+		if l < minLen {
+			continue
+		}
+		for id, n := range count {
+			if n >= 2 {
+				// A run of n occurrences collapses to one marker packet.
+				cands = append(cands, cand{first: int(first[id]), n: l, saving: (int(n)*l - 1) * trace.PacketSize})
 			}
-			// A run of n occurrences collapses to one marker packet.
-			saving := (n*l - 1) * trace.PacketSize
-			cands = append(cands, cand{
-				seq:    append([]trace.Packet(nil), stream[firsts[key]:firsts[key]+l]...),
-				saving: saving,
-			})
 		}
 	}
-	// Highest saving first (stable, deterministic tiebreak by key).
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && better(cands[j], cands[j-1]); j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
+	// Highest saving first, then longest, then by wire encoding: a total
+	// order, since candidates of one length are distinct windows.
+	slices.SortFunc(cands, func(a, b cand) int {
+		if a.saving != b.saving {
+			return cmp.Compare(b.saving, a.saving)
 		}
-	}
+		if a.n != b.n {
+			return cmp.Compare(b.n, a.n)
+		}
+		return compareEncoded(stream[a.first:a.first+a.n], stream[b.first:b.first+b.n])
+	})
 	var chosen [][]trace.Packet
 	for _, c := range cands {
 		if len(chosen) >= maxPaths {
@@ -239,31 +269,29 @@ func Mine(stream []trace.Packet, maxPaths, minLen, maxLen int) (*Dictionary, err
 		}
 		// Skip candidates that are substrings of an already-chosen path
 		// (the longer path subsumes them under longest-first matching).
-		redundant := false
-		for _, ch := range chosen {
-			if containsSub(ch, c.seq) {
-				redundant = true
-				break
-			}
-		}
-		if !redundant {
-			chosen = append(chosen, c.seq)
+		seq := stream[c.first : c.first+c.n]
+		if !slices.ContainsFunc(chosen, func(ch []trace.Packet) bool { return containsSub(ch, seq) }) {
+			chosen = append(chosen, seq)
 		}
 	}
+	// NewDictionary copies the paths out of the stream.
 	return NewDictionary(chosen...)
 }
 
-func better(a, b struct {
-	seq    []trace.Packet
-	saving int
-}) bool {
-	if a.saving != b.saving {
-		return a.saving > b.saving
+// compareEncoded orders packet sequences as bytes.Compare orders their
+// pipeline.EncodeMTB encodings (little-endian Src then Dst), without
+// encoding them: byte-reversing a word makes its integer order its
+// little-endian byte order.
+func compareEncoded(a, b []trace.Packet) int {
+	for k := range min(len(a), len(b)) {
+		if c := cmp.Compare(bits.ReverseBytes32(a[k].Src), bits.ReverseBytes32(b[k].Src)); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(bits.ReverseBytes32(a[k].Dst), bits.ReverseBytes32(b[k].Dst)); c != 0 {
+			return c
+		}
 	}
-	if len(a.seq) != len(b.seq) {
-		return len(a.seq) > len(b.seq)
-	}
-	return packetsKey(a.seq) < packetsKey(b.seq)
+	return cmp.Compare(len(a), len(b))
 }
 
 func containsSub(haystack, needle []trace.Packet) bool {
@@ -273,8 +301,4 @@ func containsSub(haystack, needle []trace.Packet) bool {
 		}
 	}
 	return false
-}
-
-func packetsKey(ps []trace.Packet) string {
-	return string(pipeline.EncodeMTB(ps))
 }
