@@ -1,9 +1,13 @@
 # Developer / CI entry points. `make check` is what CI runs.
 GO ?= go
 
-.PHONY: check vet staticcheck build test race fuzz fuzz-smoke fuzz-corpus chaos journal-chaos stream-chaos replay-selftest obs bench bench-smoke bench-verify bench-fleet bench-stream serve-selftest metrics-scrape
+.PHONY: check fmt vet staticcheck build test race fuzz fuzz-smoke fuzz-corpus chaos journal-chaos stream-chaos replay-selftest obs bench bench-smoke bench-verify bench-fleet bench-stream serve-selftest metrics-scrape
 
-check: vet staticcheck build test race fuzz chaos journal-chaos
+check: fmt vet staticcheck build test race fuzz chaos journal-chaos
+
+# Fails, listing the files, when any Go file is not gofmt-clean.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "not gofmt-clean:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -8,13 +8,15 @@
 // three sessions against it over TCP:
 //
 //  1. an honest device streams the GPS run slice by slice and seals OK;
+//
 //  2. a tampered device (firmware linked with different padding, so
 //     H_MEM disagrees with the golden image) streams the same run — the
 //     gateway alarms mid-stream and pushes a HEAL re-provision
 //     directive to the device before the run even finishes;
+//
 //  3. the remediated device re-attests honestly and is healed.
 //
-//	go run ./examples/partial_reports
+//     go run ./examples/partial_reports
 package main
 
 import (

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"raptrack/internal/apps"
@@ -11,7 +12,9 @@ import (
 // TestVerifyGeometry bounds the search complexity on the most ambiguous
 // workload (crc32: per-bit conditionals inside a per-byte guard): the memo
 // must stay polynomial — entries linear in evidence, outcomes at most
-// quadratic (the triangle of structurally-possible prefix completions).
+// quadratic (the triangle of structurally-possible prefix completions) —
+// and one reconstruction's allocations stay bounded: outcomes live in a
+// recycled arena, not one heap object each.
 func TestVerifyGeometry(t *testing.T) {
 	a, err := apps.Get("crc32")
 	if err != nil {
@@ -46,5 +49,23 @@ func TestVerifyGeometry(t *testing.T) {
 	}
 	if work > uint64(100*n) {
 		t.Errorf("abstract work %d super-linear-ish in %d packets", work, n)
+	}
+
+	// Allocations of one uncached reconstruction, after a warm-up run has
+	// filled the arena's free list.
+	v.ReplayPackets(pkts)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if vd := v.ReplayPackets(pkts); !vd.OK {
+		t.Fatalf("crc32 rejected: %s", vd.Reason())
+	}
+	runtime.ReadMemStats(&after)
+	allocs, mb := after.Mallocs-before.Mallocs, float64(after.TotalAlloc-before.TotalAlloc)/(1<<20)
+	t.Logf("crc32: one reconstruction allocates %d objects, %.1f MB", allocs, mb)
+	if allocs > 100_000 {
+		t.Errorf("reconstruction allocated %d objects, want <= 100k", allocs)
+	}
+	if mb > 100 {
+		t.Errorf("reconstruction allocated %.1f MB, want <= 100 MB", mb)
 	}
 }

@@ -17,14 +17,14 @@ import (
 
 func chaosEntry(i int) journal.Entry {
 	return journal.Entry{
-		Kind:        journal.KindVerdict,
-		Time:        time.Unix(1700000000, int64(i)),
-		App:         "prime",
-		Device:      fmt.Sprintf("10.0.0.1:%d", 50000+i),
-		Outcome:     journal.OutcomeOK,
-		Code:        verify.ReasonNone,
-		Detail:      fmt.Sprintf("chaos-%d", i),
-		Payload:     []byte(fmt.Sprintf("evidence-payload-%08d", i)),
+		Kind:    journal.KindVerdict,
+		Time:    time.Unix(1700000000, int64(i)),
+		App:     "prime",
+		Device:  fmt.Sprintf("10.0.0.1:%d", 50000+i),
+		Outcome: journal.OutcomeOK,
+		Code:    verify.ReasonNone,
+		Detail:  fmt.Sprintf("chaos-%d", i),
+		Payload: []byte(fmt.Sprintf("evidence-payload-%08d", i)),
 	}
 }
 

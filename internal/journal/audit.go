@@ -145,15 +145,15 @@ func (j *Journal) summary() map[string]any {
 	segs := len(j.sealed) + 1
 	j.mu.Unlock()
 	return map[string]any{
-		"next_seq":  next,
-		"head":      hashHex(head),
-		"segments":  segs,
-		"degraded":  degraded,
-		"devices":   j.audit.deviceCount(),
-		"appended":  c.Appended,
-		"rotated":   c.Rotated,
-		"recovered": c.Recovered,
-		"truncated": c.Truncated,
+		"next_seq":     next,
+		"head":         hashHex(head),
+		"segments":     segs,
+		"degraded":     degraded,
+		"devices":      j.audit.deviceCount(),
+		"appended":     c.Appended,
+		"rotated":      c.Rotated,
+		"recovered":    c.Recovered,
+		"truncated":    c.Truncated,
 		"chain_breaks": c.ChainBreaks,
 		"quarantined":  c.Quarantined,
 		"shed":         c.Shed,

@@ -146,7 +146,7 @@ func TestChaosMixedFaultSchedule(t *testing.T) {
 	f := fixture(t, "prime")
 	before := runtime.NumGoroutine()
 	g := server.New(
-		server.WithSessionSlots(2*sessions), // capacity sheds off: every outcome is a verdict or typed failure
+		server.WithSessionSlots(2*sessions),         // capacity sheds off: every outcome is a verdict or typed failure
 		server.WithBreaker(24, 50*time.Millisecond), // enabled, but above any plausible panic streak
 		server.WithFaults(master.Fork("gateway").VerifyHook(), nil),
 	)
@@ -320,9 +320,9 @@ func TestChaosWireFaultsRecoverWithRetry(t *testing.T) {
 	_, addr, _ := startGateway(t, []server.Option{server.WithSessionSlots(2 * sessions)}, "prime")
 
 	var (
-		mu                 sync.Mutex
+		mu                  sync.Mutex
 		faultedN, faultedOK int
-		retries            uint64
+		retries             uint64
 	)
 	sem := make(chan struct{}, 8)
 	var wg sync.WaitGroup

@@ -60,11 +60,11 @@ func attestedSession(t *testing.T, prog *asm.Program) (*linker.Output, attest.Au
 func tamperCorpus(pkts []trace.Packet) [][]trace.Packet {
 	cp := func(ps []trace.Packet) []trace.Packet { return append([]trace.Packet(nil), ps...) }
 	corpus := [][]trace.Packet{
-		cp(pkts),              // genuine
-		pkts[:len(pkts)-1],    // dropped tail
-		pkts[1:],              // dropped head
+		cp(pkts),                            // genuine
+		pkts[:len(pkts)-1],                  // dropped tail
+		pkts[1:],                            // dropped head
 		append(cp(pkts), pkts[len(pkts)-1]), // injected duplicate
-		nil,                   // empty
+		nil,                                 // empty
 	}
 	m := cp(pkts)
 	m[0].Src = 0x1234_5678 // unknown source

@@ -17,26 +17,6 @@ const (
 	exitHalt                 // HLT reached (program over)
 )
 
-// outcome is one way a frame can complete from some state, plus the
-// derivation links needed to materialize the witness path.
-type outcome struct {
-	kind   exitKind
-	cursor int    // evidence cursor after completion
-	retDst uint32 // exitRet only
-
-	// Derivation: the node that produced this outcome, the local branch
-	// taken there, the callee outcome (call nodes) and the continuation
-	// outcome (nil when the node itself exits the frame).
-	node   nodeKey
-	branch uint8
-	callee *outcome
-	cont   *outcome
-}
-
-func (o *outcome) valueKey() uint64 {
-	return uint64(o.kind)<<62 | uint64(o.retDst)<<30 | uint64(uint32(o.cursor))
-}
-
 // Branch identifiers.
 const (
 	brExit     = 0 // cond not-taken / guard exit-taken / frame exit
@@ -74,30 +54,6 @@ type nodeKey struct {
 	lhash  uint64
 }
 
-// entry is the memo cell for one nodeKey: the node's evaluation context,
-// its outcome set (monotonically growing), and the reverse-dependency
-// edges driving the worklist iteration.
-type entry struct {
-	outs []*outcome
-	have map[uint64]bool
-
-	// Evaluation context (all producers of the key share it).
-	pc      uint32
-	cursor  int
-	loopCtx loopMap
-
-	// dependents are nodes whose outcomes were computed using this
-	// entry's (possibly partial) set: they are re-evaluated when it grows.
-	// depOrder keeps registration order: dirty marks must propagate
-	// deterministically, or the evaluation order — and with it which
-	// contradiction is reported as "first" — would vary run to run with
-	// map iteration (the differential conformance fuzzer catches this).
-	dependents map[nodeKey]struct{}
-	depOrder   []nodeKey
-
-	visiting bool
-}
-
 // summarizer runs the fixed-point search as a worklist-driven chaotic
 // iteration: nodes are evaluated once on discovery; when an entry's
 // outcome set grows, the nodes that read it are marked dirty and
@@ -106,11 +62,15 @@ type summarizer struct {
 	v       *Verifier
 	packets []trace.Packet
 
-	memo      map[nodeKey]*entry
-	advMemo   map[nodeKey]advState
-	evalStack []nodeKey
-	dirty     []nodeKey
-	inDirty   map[nodeKey]bool
+	outs      arena                // every outcome of the search
+	entries   []*[entryChunk]entry // memo cells, by entry id
+	nEntries  int32
+	memo      map[nodeKey]int32 // node -> entry id
+	advMemo   map[nodeKey]advMemo
+	exits     []int32 // frame-exit outcome ids, handed out as one-element views
+	evalStack []int32 // entry ids under evaluation
+	dirty     []int32 // FIFO of entry ids awaiting re-evaluation
+	dirtyHead int
 	evals     uint64
 
 	work    uint64
@@ -121,8 +81,9 @@ type summarizer struct {
 	firstPC     uint32
 	attackNoted bool
 
-	cache *Cache      // shared cross-session segment cache (nil = off)
-	rec   *segRecord  // active segment recording (nil outside cache misses)
+	cache  *Cache     // shared cross-session segment cache (nil = off)
+	rec    *segRecord // active segment recording (nil outside cache misses)
+	recBuf segRecord  // backs rec
 
 	segCap    uint64 // max instructions per deterministic segment
 	emitLoops uint64 // loop trip counts applied during witness emission
@@ -200,6 +161,14 @@ type advState struct {
 		retDst uint32
 		pc     uint32 // address of the exiting instruction
 	}
+}
+
+// advMemo is one memoized deterministic advance. exit is the frame-exit
+// outcome of an advExit segment, allocated once per segment: it carries no
+// derivation, so every walk reaching the segment shares it.
+type advMemo struct {
+	st   advState
+	exit int32 // index into summarizer.exits (advExit only)
 }
 
 // advance walks deterministic steps (plain instructions, direct branches,
@@ -401,24 +370,33 @@ func (s *summarizer) peek(cursor int) (trace.Packet, bool) {
 // outcomes from there. Deterministic advances are memoized per session
 // (worklist re-evaluations would otherwise re-walk the same segments) and,
 // when a shared cache is attached, across sessions as relocatable segment
-// summaries.
-func (s *summarizer) walkState(pc uint32, cursor int, loopCtx loopMap) []*outcome {
+// summaries. The returned list is read-only and may be a live entry's
+// growing set: callers range over the snapshot they were handed.
+func (s *summarizer) walkState(pc uint32, cursor int, loopCtx loopMap) []int32 {
 	k := nodeKey{pc: pc, cursor: cursor, lhash: loopCtx.hash()}
-	st, ok := s.advMemo[k]
+	m, ok := s.advMemo[k]
 	if !ok {
-		st, ok = s.cachedAdvance(pc, cursor, loopCtx)
-		if !ok {
+		st, hit := s.cachedAdvance(pc, cursor, loopCtx)
+		if !hit {
 			st = s.recordedAdvance(pc, cursor, loopCtx)
 		}
-		s.advMemo[k] = st
+		m = advMemo{st: st}
+		if st.kind == advExit {
+			m.exit = int32(len(s.exits))
+			s.exits = append(s.exits, s.outs.alloc(outcome{
+				kind: st.exit.kind, cursor: int32(st.exit.cursor), retDst: st.exit.retDst,
+				callee: noOutcome, cont: noOutcome,
+			}))
+		}
+		s.advMemo[k] = m
 	}
-	switch st.kind {
+	switch m.st.kind {
 	case advPrune:
 		return nil
 	case advExit:
-		return []*outcome{{kind: st.exit.kind, cursor: st.exit.cursor, retDst: st.exit.retDst}}
+		return s.exits[m.exit : m.exit+1 : m.exit+1]
 	}
-	return s.walkNode(st.pc, st.cursor, st.loopCtx)
+	return s.walkNode(m.st.pc, m.st.cursor, m.st.loopCtx)
 }
 
 // cachedAdvance consults the shared cross-session segment cache. On a hit
@@ -457,7 +435,8 @@ func (s *summarizer) recordedAdvance(pc uint32, cursor int, loopCtx loopMap) adv
 	if s.cache == nil {
 		return s.advance(pc, cursor, loopCtx, nil)
 	}
-	rec := &segRecord{start: cursor, end: cursor}
+	rec := &s.recBuf
+	*rec = segRecord{start: cursor, end: cursor}
 	s.rec = rec
 	st := s.advance(pc, cursor, loopCtx, nil)
 	s.rec = nil
@@ -485,67 +464,75 @@ func (s *summarizer) recordedAdvance(pc uint32, cursor int, loopCtx loopMap) adv
 // walkNode returns the memoized outcomes of a branching/calling node,
 // evaluating it on first discovery and recording a reverse-dependency
 // edge from the node currently being evaluated.
-func (s *summarizer) walkNode(pc uint32, cursor int, loopCtx loopMap) []*outcome {
+func (s *summarizer) walkNode(pc uint32, cursor int, loopCtx loopMap) []int32 {
 	key := nodeKey{pc: pc, cursor: cursor, lhash: loopCtx.hash()}
-	e := s.memo[key]
-	if e == nil {
-		e = &entry{
-			have:       make(map[uint64]bool),
-			pc:         pc,
-			cursor:     cursor,
-			loopCtx:    loopCtx,
-			dependents: make(map[nodeKey]struct{}),
-		}
-		s.memo[key] = e
-		s.evaluate(key, e)
+	id, ok := s.memo[key]
+	if !ok {
+		id = s.newEntry(pc, cursor, loopCtx)
+		s.memo[key] = id
+		s.evaluate(id)
 	}
+	e := s.entry(id)
 	if n := len(s.evalStack); n > 0 {
-		d := s.evalStack[n-1]
-		if _, seen := e.dependents[d]; !seen {
-			e.dependents[d] = struct{}{}
-			e.depOrder = append(e.depOrder, d)
-		}
+		e.addDep(s.evalStack[n-1])
 	}
 	return e.outs
 }
 
-// markDirty queues a node for re-evaluation.
-func (s *summarizer) markDirty(key nodeKey) {
-	if !s.inDirty[key] {
-		s.inDirty[key] = true
-		s.dirty = append(s.dirty, key)
+// entry returns the memo cell for an entry id.
+func (s *summarizer) entry(id int32) *entry {
+	return &s.entries[id/entryChunk][id%entryChunk]
+}
+
+// newEntry allocates a memo cell for the node (pc, cursor, loopCtx).
+func (s *summarizer) newEntry(pc uint32, cursor int, loopCtx loopMap) int32 {
+	if int(s.nEntries) == len(s.entries)*entryChunk {
+		s.entries = append(s.entries, new([entryChunk]entry))
+	}
+	id := s.nEntries
+	s.nEntries++
+	*s.entry(id) = entry{pc: pc, cursor: cursor, loopCtx: loopCtx}
+	return id
+}
+
+// markDirty queues an entry for re-evaluation.
+func (s *summarizer) markDirty(id int32) {
+	if e := s.entry(id); !e.queued {
+		e.queued = true
+		s.dirty = append(s.dirty, id)
+	}
+}
+
+// extend wraps continuation outcomes with entry id's derivation (the local
+// branch taken and, at call nodes, the callee outcome), adding only
+// outcomes not already in its set. Growth marks the entry's dependents
+// dirty.
+func (s *summarizer) extend(id int32, branch uint8, callee int32, conts []int32) {
+	e := s.entry(id)
+	for _, c := range conts {
+		co := s.outs.at(c)
+		if e.has(&s.outs, co) {
+			continue
+		}
+		o := outcome{kind: co.kind, branch: branch, cursor: co.cursor, retDst: co.retDst, callee: callee, cont: c}
+		e.push(&s.outs, s.outs.alloc(o), &o)
+		for _, d := range e.deps {
+			s.markDirty(d)
+		}
 	}
 }
 
 // evaluate (re)computes one node's outcomes from its stored context.
 // Growth propagates to dependents through the dirty queue.
-func (s *summarizer) evaluate(key nodeKey, e *entry) {
+func (s *summarizer) evaluate(id int32) {
+	e := s.entry(id)
 	if e.visiting || s.aborted {
 		return
 	}
 	e.visiting = true
-	s.evalStack = append(s.evalStack, key)
+	s.evalStack = append(s.evalStack, id)
 	s.evals++
 	pc, cursor, loopCtx := e.pc, e.cursor, e.loopCtx
-
-	// extend wraps continuation outcomes with this node's derivation,
-	// allocating only for outcomes not already in the set.
-	extend := func(branch uint8, callee *outcome, conts []*outcome) {
-		for _, c := range conts {
-			vk := c.valueKey()
-			if e.have[vk] {
-				continue
-			}
-			e.have[vk] = true
-			e.outs = append(e.outs, &outcome{
-				kind: c.kind, cursor: c.cursor, retDst: c.retDst,
-				node: key, branch: branch, callee: callee, cont: c,
-			})
-			for _, d := range e.depOrder {
-				s.markDirty(d)
-			}
-		}
-	}
 
 	v := s.v
 	img := v.link.Image
@@ -556,11 +543,11 @@ func (s *summarizer) evaluate(key nodeKey, e *entry) {
 		switch site.Class {
 		case cfg.ClassCondNonLoop, cfg.ClassCondLoopBack:
 			// Not-taken: always structurally possible.
-			extend(brExit, nil, s.walkState(next, cursor, loopCtx))
+			s.extend(id, brExit, noOutcome, s.walkState(next, cursor, loopCtx))
 			// Taken: gated on matching evidence.
 			if p, have := s.peek(cursor); have && p.Src == site.RecordAddr {
 				if p.Dst == site.StaticTarget {
-					extend(brConsume, nil, s.walkState(site.StaticTarget, cursor+1, loopCtx))
+					s.extend(id, brConsume, noOutcome, s.walkState(site.StaticTarget, cursor+1, loopCtx))
 				} else {
 					s.note(ReasonMalformedEvidence, pc, "conditional evidence destination %#x != static target %#x", p.Dst, site.StaticTarget)
 				}
@@ -573,7 +560,7 @@ func (s *summarizer) evaluate(key nodeKey, e *entry) {
 			} else if p.Dst != site.StaticTarget {
 				s.note(ReasonMalformedEvidence, pc, "loop-continue evidence destination %#x != static target %#x", p.Dst, site.StaticTarget)
 			} else {
-				extend(brConsume, nil, s.walkState(site.StaticTarget, cursor+1, loopCtx))
+				s.extend(id, brConsume, noOutcome, s.walkState(site.StaticTarget, cursor+1, loopCtx))
 			}
 		case cfg.ClassIndirectCall:
 			p, have := s.peek(cursor)
@@ -582,19 +569,19 @@ func (s *summarizer) evaluate(key nodeKey, e *entry) {
 			} else if !v.entries[p.Dst] {
 				s.noteAttack(ReasonJOP, pc, "indirect call to %#x, which is not a function entry (JOP)", p.Dst)
 			} else {
-				s.call(key, pc, next, p.Dst, cursor+1, loopCtx, extend)
+				s.call(id, pc, next, p.Dst, cursor+1, loopCtx)
 			}
 		}
 	} else if _, isGuard := v.link.Guards[pc]; isGuard {
 		stub := v.link.Guards[pc]
 		// Exit taken: no evidence consumed.
-		extend(brExit, nil, s.walkState(ins.Target, cursor, loopCtx))
+		s.extend(id, brExit, noOutcome, s.walkState(ins.Target, cursor, loopCtx))
 		// Continue: falls into the logging B (which consumes); gated.
 		if p, have := s.peek(cursor); have && p.Src == stub.RecordAddr {
-			extend(brConsume, nil, s.walkState(next, cursor, loopCtx))
+			s.extend(id, brConsume, noOutcome, s.walkState(next, cursor, loopCtx))
 		}
 	} else if ins.Kind() == isa.KindCall {
-		s.call(key, pc, next, ins.Target, cursor, loopCtx, extend)
+		s.call(id, pc, next, ins.Target, cursor, loopCtx)
 	} else {
 		s.note(ReasonUnexplained, pc, "internal: evaluate at non-node %#x", pc)
 	}
@@ -604,23 +591,57 @@ func (s *summarizer) evaluate(key nodeKey, e *entry) {
 }
 
 // call evaluates a call node: callee outcomes compose with continuations.
-func (s *summarizer) call(key nodeKey, pc, retSite, callee uint32, cursor int, loopCtx loopMap,
-	extend func(uint8, *outcome, []*outcome)) {
+func (s *summarizer) call(id int32, pc, retSite, callee uint32, cursor int, loopCtx loopMap) {
 	couts := s.walkState(callee, cursor, nil)
-	for _, co := range couts {
+	for _, c := range couts {
+		co := *s.outs.at(c)
 		switch co.kind {
 		case exitHalt:
-			// The program ended inside the callee.
-			extend(brCallHalt, co, []*outcome{{kind: exitHalt, cursor: co.cursor}})
+			// The program ended inside the callee. The halt outcome is its
+			// own continuation: it carries exactly the value (halt, cursor)
+			// the frame completes with, and emitFrame stops at brCallHalt.
+			s.extend(id, brCallHalt, c, []int32{c})
 		case exitLeaf:
-			extend(brCall, co, s.walkState(retSite, co.cursor, loopCtx))
+			s.extend(id, brCall, c, s.walkState(retSite, int(co.cursor), loopCtx))
 		case exitRet:
 			if co.retDst == retSite {
-				extend(brCall, co, s.walkState(retSite, co.cursor, loopCtx))
+				s.extend(id, brCall, c, s.walkState(retSite, int(co.cursor), loopCtx))
 			} else {
 				s.noteAttack(ReasonROP, pc, "return destination %#x != call-site successor %#x (ROP)", co.retDst, retSite)
 			}
 		}
+	}
+}
+
+// newSummarizer prepares the search state for one reconstruction; release
+// it when done.
+func (v *Verifier) newSummarizer(packets []trace.Packet, cache *Cache) *summarizer {
+	return &summarizer{
+		v:       v,
+		packets: packets,
+		memo:    make(map[nodeKey]int32),
+		advMemo: make(map[nodeKey]advMemo),
+		cache:   cache,
+		segCap:  uint64(len(v.link.Image.Code)) + 16,
+		debug:   v.opts.debug,
+	}
+}
+
+// release hands the outcome arena back for reuse by later searches.
+func (s *summarizer) release() { s.outs.release() }
+
+// solve seeds the graph at the entry point and drains the dirty queue to
+// the fixed point (or the work budget).
+func (s *summarizer) solve(entryPC uint32) {
+	s.walkState(entryPC, 0, nil)
+	for s.dirtyHead < len(s.dirty) && !s.aborted {
+		id := s.dirty[s.dirtyHead]
+		s.dirtyHead++
+		if s.dirtyHead == len(s.dirty) {
+			s.dirty, s.dirtyHead = s.dirty[:0], 0
+		}
+		s.entry(id).queued = false
+		s.evaluate(id)
 	}
 }
 
@@ -632,16 +653,8 @@ func (v *Verifier) reconstruct(packets []trace.Packet) *Verdict {
 	if err != nil {
 		return &Verdict{OK: false, Code: ReasonBadImage, Detail: fmt.Sprintf("golden image has no entry: %v", err), Packets: len(packets)}
 	}
-	s := &summarizer{
-		v:       v,
-		packets: packets,
-		memo:    make(map[nodeKey]*entry),
-		advMemo: make(map[nodeKey]advState),
-		inDirty: make(map[nodeKey]bool),
-		cache:   v.opts.cache,
-		segCap:  uint64(len(img.Code)) + 16,
-		debug:   v.opts.debug,
-	}
+	s := v.newSummarizer(packets, v.opts.cache)
+	defer s.release()
 
 	fail := func(code ReasonCode, detail string, pc uint32) *Verdict {
 		return &Verdict{
@@ -650,31 +663,22 @@ func (v *Verifier) reconstruct(packets []trace.Packet) *Verdict {
 		}
 	}
 
-	// Seed the graph, then drain the dirty queue to the fixed point.
-	s.walkState(entryPC, 0, nil)
-	for len(s.dirty) > 0 && !s.aborted {
-		key := s.dirty[0]
-		s.dirty = s.dirty[1:]
-		delete(s.inDirty, key)
-		if e := s.memo[key]; e != nil {
-			s.evaluate(key, e)
-		}
-	}
+	s.solve(entryPC)
 	if s.aborted {
 		return fail(ReasonWorkBudget, fmt.Sprintf("verification exceeded the %d-instruction work budget", v.opts.maxInstrs), 0)
 	}
 
-	outs := s.walkState(entryPC, 0, nil)
-	for _, o := range outs {
-		if o.cursor != len(packets) {
+	for _, id := range s.walkState(entryPC, 0, nil) {
+		o := s.outs.at(id)
+		if int(o.cursor) != len(packets) {
 			continue
 		}
 		switch o.kind {
 		case exitHalt, exitLeaf:
-			return s.materialize(entryPC, o)
+			return s.materialize(entryPC, id)
 		case exitRet:
 			if o.retDst == retToHaltSentinel {
-				return s.materialize(entryPC, o)
+				return s.materialize(entryPC, id)
 			}
 		}
 	}

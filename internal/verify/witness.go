@@ -9,7 +9,7 @@ import (
 
 // materialize turns an accepted derivation into the Verdict with the
 // witness path and evidence statistics.
-func (s *summarizer) materialize(entryPC uint32, top *outcome) *Verdict {
+func (s *summarizer) materialize(entryPC uint32, top int32) *Verdict {
 	vd := &Verdict{OK: true, Packets: len(s.packets), Instrs: s.work, Passes: int(s.evals)}
 	s.emitLoops = 0
 	emit := func(e Edge) {
@@ -19,7 +19,7 @@ func (s *summarizer) materialize(entryPC uint32, top *outcome) *Verdict {
 		}
 	}
 	end, exitPC := s.emitFrame(entryPC, 0, nil, top, emit)
-	if top.kind == exitLeaf {
+	if s.outs.at(top).kind == exitLeaf {
 		// The entry function returned through its pristine LR: the
 		// destination is the CPU's halt sentinel.
 		emit(Edge{Src: exitPC, Dst: haltSentinel, Kind: isa.KindReturn})
@@ -35,7 +35,7 @@ const haltSentinel = 0xffff_fffe
 // loopCtx), emitting every control transfer, and returns the evidence
 // cursor after the frame completes along with the exiting instruction's
 // address.
-func (s *summarizer) emitFrame(pc uint32, cursor int, loopCtx loopMap, o *outcome, emit func(Edge)) (int, uint32) {
+func (s *summarizer) emitFrame(pc uint32, cursor int, loopCtx loopMap, id int32, emit func(Edge)) (int, uint32) {
 	v := s.v
 	img := v.link.Image
 	for {
@@ -48,9 +48,10 @@ func (s *summarizer) emitFrame(pc uint32, cursor int, loopCtx loopMap, o *outcom
 		case advExit:
 			return st.exit.cursor, st.exit.pc
 		}
-		if o == nil {
+		if id == noOutcome {
 			panic(fmt.Sprintf("verify: witness derivation exhausted at node %#x", st.pc))
 		}
+		o := s.outs.at(id)
 		ins := img.Code[st.pc]
 		next := st.pc + ins.Size()
 		loopCtx = st.loopCtx
@@ -66,7 +67,7 @@ func (s *summarizer) emitFrame(pc uint32, cursor int, loopCtx loopMap, o *outcom
 				pc = next
 			}
 			cursor = st.cursor
-			o = o.cont
+			id = o.cont
 
 		case brConsume:
 			if site, isSite := v.link.Sites[st.pc]; isSite &&
@@ -79,7 +80,7 @@ func (s *summarizer) emitFrame(pc uint32, cursor int, loopCtx loopMap, o *outcom
 				pc = next
 				cursor = st.cursor
 			}
-			o = o.cont
+			id = o.cont
 
 		case brCall, brCallHalt:
 			var calleeEntry uint32
@@ -98,14 +99,14 @@ func (s *summarizer) emitFrame(pc uint32, cursor int, loopCtx loopMap, o *outcom
 			if o.branch == brCallHalt {
 				return end, exitPC
 			}
-			if o.callee.kind == exitLeaf {
+			if s.outs.at(o.callee).kind == exitLeaf {
 				// The callee's deterministic return edge is emitted here,
 				// where the destination (this call's successor) is known.
 				emit(Edge{Src: exitPC, Dst: next, Kind: isa.KindReturn})
 			}
 			pc = next
 			cursor = end
-			o = o.cont
+			id = o.cont
 
 		default:
 			panic(fmt.Sprintf("verify: unknown derivation branch %d at %#x", o.branch, st.pc))
