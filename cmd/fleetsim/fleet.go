@@ -225,18 +225,32 @@ func (ts *templateStore) attest(conn io.ReadWriter, app, device string) (remote.
 
 // --- simulated device links -------------------------------------------
 
-// slowConn models the device's uplink: every Write pays the link
-// latency before bytes move. The gateway session holds its slot while
-// waiting, so sessions are link-bound: capacity is the slot count,
-// while the per-session CPU work stays far below one core.
+// slowConn models the device's link: each protocol round trip pays the
+// link latency once, when the device turns from reading to writing (its
+// first write included), however many writes its side of the exchange
+// takes. The gateway session holds its slot while waiting, so sessions
+// are link-bound: capacity is the slot count, while the per-session CPU
+// work stays far below one core. A session's total delay is its round
+// trips times lat: HELO→CHAL and REPORTS→VRDT.
 type slowConn struct {
 	net.Conn
-	lat time.Duration
+	lat     time.Duration
+	writing bool          // the device's last operation was a write
+	delay   time.Duration // link latency charged so far
 }
 
 func (c *slowConn) Write(p []byte) (int, error) {
-	time.Sleep(c.lat)
+	if !c.writing {
+		c.writing = true
+		c.delay += c.lat
+		time.Sleep(c.lat)
+	}
 	return c.Conn.Write(p)
+}
+
+func (c *slowConn) Read(p []byte) (int, error) {
+	c.writing = false
+	return c.Conn.Read(p)
 }
 
 // device is one simulated prover.

@@ -91,7 +91,7 @@ func main() {
 		appsFlag = flag.String("apps", "prime", "comma-separated workload apps")
 		provers  = flag.Int("provers", 10000, "simulated fleet size")
 		slots    = flag.Int("slots", 32, "gateway session slots (scaling sweeps slots/4, slots/2, slots)")
-		baseLat  = flag.Duration("link-latency", time.Millisecond, "base device uplink latency per write")
+		baseLat  = flag.Duration("link-latency", time.Millisecond, "base device link latency per protocol round trip")
 		legDur   = flag.Duration("leg-duration", 8*time.Second, "measurement window per scaling leg")
 		diurnal  = flag.Duration("diurnal", 12*time.Second, "wave-phase diurnal window")
 		herd     = flag.Duration("herd-spread", 4*time.Second, "firmware-push herd arrival spread")

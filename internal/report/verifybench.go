@@ -1,6 +1,7 @@
 package report
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"strings"
@@ -19,12 +20,12 @@ import (
 var VerifyBenchApps = []string{"fibcall", "prime", "gps", "crc32", "matmult"}
 
 // VerifyBenchResult is one cell of the engine × cache matrix for one
-// workload. The JSON encoding of the full matrix is the BENCH_verify.json
+// workload, or its reject cell. The JSON encoding of the full matrix is the BENCH_verify.json
 // artifact CI uploads per PR, so verifier-core regressions are visible
 // without re-running the suite locally.
 type VerifyBenchResult struct {
 	App    string `json:"app"`
-	Engine string `json:"engine"` // "interp" or "automaton"
+	Engine string `json:"engine"` // "interp", "automaton" or "reject"
 	Cache  bool   `json:"cache"`
 
 	NsPerOp        int64   `json:"ns_per_op"`
@@ -47,9 +48,10 @@ type VerifyBenchReport struct {
 // pushdown search vs compiled automaton, with and without the
 // cross-session summary cache. Each cell reuses one frozen evidence
 // stream (attested once up front), so the numbers isolate the verifier
-// core — no emulation, signing, or network in the loop. budget is the
-// minimum measured wall time per cell; <= 0 picks a default suitable for
-// CI (300ms).
+// core — no emulation, signing, or network in the loop. A fifth cell per
+// workload, engine "reject", times the gateway's path for a hijacked
+// session (see measureReject). budget is the minimum measured wall time
+// per cell; <= 0 picks a default suitable for CI (300ms).
 func VerifyBench(names []string, budget time.Duration) ([]VerifyBenchResult, error) {
 	if budget <= 0 {
 		budget = 300 * time.Millisecond
@@ -107,8 +109,98 @@ func VerifyBench(names []string, budget time.Duration) ([]VerifyBenchResult, err
 			r.LogBytes = stats.CFLogBytes
 			out = append(out, r)
 		}
+
+		v := core.NewVerifier(link, key, verify.WithCache(verify.NewCache(64<<20)))
+		r, err := measureReject(v, key, chal, reports, budget)
+		if err != nil {
+			return nil, fmt.Errorf("report: %s reject: %w", name, err)
+		}
+		r.App, r.Engine, r.Cache, r.LogBytes = name, "reject", true, stats.CFLogBytes
+		out = append(out, r)
 	}
 	return out, nil
+}
+
+// rejectPositions are the fixed hijack positions of the reject cell, as
+// fractions of the chain's whole packets.
+var rejectPositions = [3]float64{0.25, 0.5, 0.75}
+
+// measureReject times the verdict a compromised device draws at a
+// gateway: a cache-attached verifier runs VerifyWithAutomaton, the
+// automaton does not accept, and the interpreter renders the reject. Op i
+// overwrites the packet at rejectPositions[i%3] with a transfer between
+// two uninstrumented addresses — a code-reuse gadget unique to the op, so
+// every op misses the verdict cache as a fleet's distinct hijacks do —
+// and re-signs that report. The copy and the signature are in the timed
+// loop; they cost microseconds against the milliseconds of a reject.
+func measureReject(v *verify.Verifier, key *attest.HMACKey, chal attest.Challenge, reports []*attest.Report, budget time.Duration) (VerifyBenchResult, error) {
+	total := 0
+	for _, r := range reports {
+		total += len(r.CFLog) / 8
+	}
+	if total == 0 {
+		return VerifyBenchResult{}, fmt.Errorf("no report holds a whole packet")
+	}
+	hijacked := func(op int) ([]*attest.Report, error) {
+		k := min(int(rejectPositions[op%len(rejectPositions)]*float64(total)), total-1)
+		out := append([]*attest.Report(nil), reports...)
+		for i, r := range reports {
+			if n := len(r.CFLog) / 8; k >= n {
+				k -= n
+				continue
+			}
+			rr := *r
+			rr.CFLog = append([]byte(nil), r.CFLog...)
+			gadget := 0x8000_0000 | (uint32(op+1)&0x03ff_ffff)<<4
+			binary.LittleEndian.PutUint32(rr.CFLog[8*k:], gadget)
+			binary.LittleEndian.PutUint32(rr.CFLog[8*k+4:], gadget+4)
+			if err := attest.SignReport(&rr, key); err != nil {
+				return nil, err
+			}
+			out[i] = &rr
+			break
+		}
+		return out, nil
+	}
+	reject := func(op int) error {
+		hj, err := hijacked(op)
+		if err != nil {
+			return err
+		}
+		vd, err := v.VerifyWithAutomaton(chal, hj, nil, v.Automaton())
+		if err != nil {
+			return err
+		}
+		if vd.OK {
+			return fmt.Errorf("hijacked stream accepted (op %d)", op)
+		}
+		return nil
+	}
+	// Warm-up: one reject per position, so the segment cache holds what
+	// a gateway's would after its first hijacks.
+	op := 0
+	for ; op < len(rejectPositions); op++ {
+		if err := reject(op); err != nil {
+			return VerifyBenchResult{}, err
+		}
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	iters := 0
+	var elapsed time.Duration
+	for elapsed < budget {
+		if err := reject(op); err != nil {
+			return VerifyBenchResult{}, err
+		}
+		op++
+		iters++
+		elapsed = time.Since(start)
+	}
+	runtime.ReadMemStats(&after)
+	return opResult(elapsed, iters, &before, &after), nil
 }
 
 // measureVerify times repeated verifications of one frozen evidence
@@ -141,7 +233,11 @@ func measureVerify(v *verify.Verifier, chal attest.Challenge, reports []*attest.
 		elapsed = time.Since(start)
 	}
 	runtime.ReadMemStats(&after)
+	return opResult(elapsed, iters, &before, &after), nil
+}
 
+// opResult renders a timed loop of iters ops as per-op figures.
+func opResult(elapsed time.Duration, iters int, before, after *runtime.MemStats) VerifyBenchResult {
 	ns := elapsed.Nanoseconds() / int64(iters)
 	r := VerifyBenchResult{
 		NsPerOp:     ns,
@@ -152,15 +248,16 @@ func measureVerify(v *verify.Verifier, chal attest.Challenge, reports []*attest.
 	if ns > 0 {
 		r.SessionsPerSec = 1e9 / float64(ns)
 	}
-	return r, nil
+	return r
 }
 
 // VerifyBenchTable renders the matrix for terminal consumption, one row
 // per (app, engine, cache) cell plus the headline speedup column
-// (automaton over interpreter at equal cache setting).
+// (automaton over interpreter at equal cache setting). Reject rows time
+// a hijacked session's gateway path and carry no speedup.
 func VerifyBenchTable(rs []VerifyBenchResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Verifier core: interpreter vs compiled automaton (uncached and cached)\n")
+	fmt.Fprintf(&b, "Verifier core: interpreter vs compiled automaton (uncached and cached); reject: a hijacked session's gateway path\n")
 	fmt.Fprintf(&b, "%-12s %-10s %-6s %14s %12s %12s %10s %9s\n",
 		"app", "engine", "cache", "ns/op", "sessions/s", "allocs/op", "B/op", "speedup")
 	interp := map[string]int64{} // app|cache -> interpreter ns/op

@@ -6,16 +6,17 @@ import (
 	"time"
 )
 
-// TestVerifyBenchMatrix runs the engine matrix on the cheapest workload
-// with a tiny budget: the point is shape and sanity of the artifact, not
-// stable numbers (CI's bench-verify target measures for real).
+// TestVerifyBenchMatrix runs the engine matrix and the reject cell on the
+// cheapest workload with a tiny budget: the point is shape and sanity of
+// the artifact, not stable numbers (CI's bench-verify target measures for
+// real).
 func TestVerifyBenchMatrix(t *testing.T) {
 	rs, err := VerifyBench([]string{"temperature"}, 5*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs) != 4 {
-		t.Fatalf("cells = %d, want 4 (engine x cache)", len(rs))
+	if len(rs) != 5 {
+		t.Fatalf("cells = %d, want 5 (engine x cache, plus reject)", len(rs))
 	}
 	seen := map[string]bool{}
 	for _, r := range rs {
@@ -30,14 +31,14 @@ func TestVerifyBenchMatrix(t *testing.T) {
 			t.Errorf("%s/cache=%v: missing log size", r.Engine, r.Cache)
 		}
 	}
-	for _, cell := range []string{"interp/off", "interp/on", "automaton/off", "automaton/on"} {
+	for _, cell := range []string{"interp/off", "interp/on", "automaton/off", "automaton/on", "reject/on"} {
 		if !seen[cell] {
 			t.Errorf("matrix missing cell %s", cell)
 		}
 	}
 
 	tab := VerifyBenchTable(rs)
-	for _, w := range []string{"temperature", "interp", "automaton", "speedup", "x"} {
+	for _, w := range []string{"temperature", "interp", "automaton", "reject", "speedup", "x"} {
 		if !strings.Contains(tab, w) {
 			t.Errorf("table missing %q:\n%s", w, tab)
 		}
