@@ -15,7 +15,6 @@ import (
 
 	"raptrack/internal/apps"
 	"raptrack/internal/attest"
-	"raptrack/internal/linker"
 	"raptrack/internal/trace"
 	"raptrack/internal/verify"
 )
@@ -36,11 +35,11 @@ const goldenFile = "testdata/verdicts.golden"
 // goldenHijacks is the number of gadget hijacks per program.
 const goldenHijacks = 8
 
-// goldenProgram is one corpus program: a name, its linked artifact and
-// its benign evidence stream.
+// goldenProgram is one corpus program: a name, an interpreter-only
+// verifier for it and its benign evidence stream.
 type goldenProgram struct {
 	name string
-	link *linker.Output
+	v    *verify.Verifier
 	pk   []trace.Packet
 }
 
@@ -77,32 +76,16 @@ func goldenPrograms(t *testing.T) []goldenProgram {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, goldenProgram{name: a.Name, link: link, pk: decodeMTB(t, log)})
+		v := NewVerifier(link, key, verify.WithAutomaton(false))
+		out = append(out, goldenProgram{name: a.Name, v: v, pk: decodeMTB(t, log)})
 	}
 	seeds := []int64{3, 7, 11, 19}
 	if short {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
-		prog := generate(seed)
-		link, err := LinkForCFA(prog, DefaultLinkOptions())
-		if err != nil {
-			t.Fatalf("gen%02d: link: %v", seed, err)
-		}
-		prover, err := NewProver(link, key, ProverConfig{MaxSteps: 20_000_000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		chal := mustChal(t, prog.Name)
-		reports, _, err := prover.Attest(chal)
-		if err != nil {
-			t.Fatalf("gen%02d: attest: %v", seed, err)
-		}
-		log, _, err := attest.AssembleChain(reports, chal, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, goldenProgram{name: fmt.Sprintf("gen%02d", seed), link: link, pk: decodeMTB(t, log)})
+		ref, _, pk := attestedPackets(t, seed)
+		out = append(out, goldenProgram{name: fmt.Sprintf("gen%02d", seed), v: ref, pk: pk})
 	}
 	return out
 }
@@ -166,14 +149,10 @@ func TestVerdictsGolden(t *testing.T) {
 	for _, p := range goldenPrograms(t) {
 		cases := goldenCases(p.pk)
 		for _, cached := range []bool{false, true} {
-			opts := []verify.Option{verify.WithAutomaton(false)}
-			mode := "off"
+			v, mode := p.v, "off"
 			if cached {
-				opts = append(opts, verify.WithCache(verify.NewCache(0)))
-				mode = "on"
+				v, mode = p.v.With(verify.WithCache(verify.NewCache(0))), "on"
 			}
-			key, _ := attest.GenerateHMACKey()
-			v := NewVerifier(p.link, key, opts...)
 			for _, c := range cases {
 				id := fmt.Sprintf("%s/%s/cache=%s", p.name, c.name, mode)
 				got = append(got, goldenLine(id, v.ReplayPackets(c.pk)))

@@ -81,9 +81,8 @@ type summarizer struct {
 	firstPC     uint32
 	attackNoted bool
 
-	cache  *Cache     // shared cross-session segment cache (nil = off)
-	rec    *segRecord // active segment recording (nil outside cache misses)
-	recBuf segRecord  // backs rec
+	cache *Cache     // shared cross-session segment cache (nil = off)
+	rec   *segRecord // active segment recording (nil outside cache misses)
 
 	segCap    uint64 // max instructions per deterministic segment
 	emitLoops uint64 // loop trip counts applied during witness emission
@@ -163,9 +162,9 @@ type advState struct {
 	}
 }
 
-// advMemo is one memoized deterministic advance. exit is the frame-exit
-// outcome of an advExit segment, allocated once per segment: it carries no
-// derivation, so every walk reaching the segment shares it.
+// advMemo is one memoized deterministic advance. An advExit segment's
+// frame-exit outcome is allocated once, with the memo entry: it carries
+// no derivation, so every walk reaching the segment shares it.
 type advMemo struct {
 	st   advState
 	exit int32 // index into summarizer.exits (advExit only)
@@ -435,8 +434,7 @@ func (s *summarizer) recordedAdvance(pc uint32, cursor int, loopCtx loopMap) adv
 	if s.cache == nil {
 		return s.advance(pc, cursor, loopCtx, nil)
 	}
-	rec := &s.recBuf
-	*rec = segRecord{start: cursor, end: cursor}
+	rec := &segRecord{start: cursor, end: cursor}
 	s.rec = rec
 	st := s.advance(pc, cursor, loopCtx, nil)
 	s.rec = nil

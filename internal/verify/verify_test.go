@@ -6,6 +6,7 @@ package verify_test
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -379,14 +380,20 @@ func TestHMemMismatchRejected(t *testing.T) {
 
 // TestVerifierConcurrentUse shares one Verifier across many goroutines
 // (the gateway deployment shape: one Verifier per app, all sessions).
-// Every reconstruction must succeed and agree; run under -race to catch
-// hidden shared state in the search (memo maps, debug globals, ...).
+// Every reconstruction — accepts and rejects alike — must render the
+// verdict a lone run renders, field for field; run under -race to catch
+// hidden shared state in the search (memo maps, debug globals, the
+// outcome arena's chunk free list, ...).
 func TestVerifierConcurrentUse(t *testing.T) {
 	out, packets := attested(t, richProgram())
 	v := newVerifier(out)
-	want := v.ReplayPackets(packets)
-	if !want.OK {
-		t.Fatalf("baseline verdict: %s", want.Reason())
+	streams := [][]trace.Packet{packets, packets[:len(packets)/2]}
+	want := make([]*verify.Verdict, len(streams))
+	for i, pk := range streams {
+		want[i] = v.ReplayPackets(pk)
+	}
+	if !want[0].OK || want[1].OK {
+		t.Fatalf("baseline verdicts: %q, %q", want[0].Reason(), want[1].Reason())
 	}
 
 	const goroutines, rounds = 8, 4
@@ -397,14 +404,9 @@ func TestVerifierConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				vd := v.ReplayPackets(packets)
-				if !vd.OK {
-					errs <- fmt.Errorf("concurrent verdict rejected: %s", vd.Reason())
-					return
-				}
-				if vd.Transfers != want.Transfers || vd.PacketsUsed != want.PacketsUsed {
-					errs <- fmt.Errorf("concurrent verdict diverged: %d/%d transfers, %d/%d packets",
-						vd.Transfers, want.Transfers, vd.PacketsUsed, want.PacketsUsed)
+				k := (g + i) % len(streams)
+				if vd := v.ReplayPackets(streams[k]); !reflect.DeepEqual(vd, want[k]) {
+					errs <- fmt.Errorf("concurrent verdict diverged on stream %d: %+v, want %+v", k, vd, want[k])
 					return
 				}
 			}
