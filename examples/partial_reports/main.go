@@ -16,7 +16,9 @@
 //
 //  3. the remediated device re-attests honestly and is healed.
 //
-//     go run ./examples/partial_reports
+// Run it with
+//
+//	go run ./examples/partial_reports
 package main
 
 import (

@@ -20,9 +20,9 @@ import (
 var VerifyBenchApps = []string{"fibcall", "prime", "gps", "crc32", "matmult"}
 
 // VerifyBenchResult is one cell of the engine × cache matrix for one
-// workload, or its reject cell. The JSON encoding of the full matrix is the BENCH_verify.json
-// artifact CI uploads per PR, so verifier-core regressions are visible
-// without re-running the suite locally.
+// workload, or its reject cell. The JSON encoding of the full matrix is
+// the BENCH_verify.json artifact CI uploads per PR, so verifier-core
+// regressions are visible without re-running the suite locally.
 type VerifyBenchResult struct {
 	App    string `json:"app"`
 	Engine string `json:"engine"` // "interp", "automaton" or "reject"
@@ -184,30 +184,14 @@ func measureReject(v *verify.Verifier, key *attest.HMACKey, chal attest.Challeng
 			return VerifyBenchResult{}, err
 		}
 	}
-
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	iters := 0
-	var elapsed time.Duration
-	for elapsed < budget {
-		if err := reject(op); err != nil {
-			return VerifyBenchResult{}, err
-		}
+	return timeOps(budget, func() error {
 		op++
-		iters++
-		elapsed = time.Since(start)
-	}
-	runtime.ReadMemStats(&after)
-	return opResult(elapsed, iters, &before, &after), nil
+		return reject(op)
+	})
 }
 
 // measureVerify times repeated verifications of one frozen evidence
-// stream until budget wall time has elapsed. Allocation counts come from
-// runtime.MemStats deltas over the whole loop — coarser than the testing
-// package's per-op accounting, but stable at the iteration counts the
-// budget yields, and free of a testing.B dependency in a non-test build.
+// stream.
 func measureVerify(v *verify.Verifier, chal attest.Challenge, reports []*attest.Report, budget time.Duration) (VerifyBenchResult, error) {
 	// One warm-up op validates the verdict (and, cache on, pays the
 	// cold-miss fill so steady-state numbers describe the hit path).
@@ -218,7 +202,18 @@ func measureVerify(v *verify.Verifier, chal attest.Challenge, reports []*attest.
 	if !verdict.OK {
 		return VerifyBenchResult{}, fmt.Errorf("benign stream rejected: %s", verdict.Reason())
 	}
+	return timeOps(budget, func() error {
+		_, err := v.Verify(chal, reports)
+		return err
+	})
+}
 
+// timeOps runs op until budget wall time has elapsed and renders per-op
+// figures. Allocation counts come from runtime.MemStats deltas over the
+// whole loop — coarser than the testing package's per-op accounting, but
+// stable at the iteration counts the budget yields, and free of a
+// testing.B dependency in a non-test build.
+func timeOps(budget time.Duration, op func() error) (VerifyBenchResult, error) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -226,18 +221,14 @@ func measureVerify(v *verify.Verifier, chal attest.Challenge, reports []*attest.
 	iters := 0
 	var elapsed time.Duration
 	for elapsed < budget {
-		if _, err := v.Verify(chal, reports); err != nil {
+		if err := op(); err != nil {
 			return VerifyBenchResult{}, err
 		}
 		iters++
 		elapsed = time.Since(start)
 	}
 	runtime.ReadMemStats(&after)
-	return opResult(elapsed, iters, &before, &after), nil
-}
 
-// opResult renders a timed loop of iters ops as per-op figures.
-func opResult(elapsed time.Duration, iters int, before, after *runtime.MemStats) VerifyBenchResult {
 	ns := elapsed.Nanoseconds() / int64(iters)
 	r := VerifyBenchResult{
 		NsPerOp:     ns,
@@ -248,7 +239,7 @@ func opResult(elapsed time.Duration, iters int, before, after *runtime.MemStats)
 	if ns > 0 {
 		r.SessionsPerSec = 1e9 / float64(ns)
 	}
-	return r
+	return r, nil
 }
 
 // VerifyBenchTable renders the matrix for terminal consumption, one row
