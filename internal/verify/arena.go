@@ -27,9 +27,11 @@ type outcomeChunk [arenaChunk]outcome
 // maxFreeChunks bounds the package-level free list of arena chunks. One
 // ambiguous reconstruction (crc32's per-bit conditionals) fills about a
 // thousand chunks; handing them back to the GC after every search made it
-// absorb 60–100 MB of arena per reject and cost the gateway's latency
-// tail, while keeping them lets the next search reuse them. 1024 chunks
-// pin at most 80 MiB of idle arena.
+// absorb up to 80 MB of arena per reject and cost the gateway CPU and
+// latency, while keeping them lets the next search reuse them. Kept
+// chunks are resident memory, so the list is bounded: 1024 chunks pin at
+// most 80 MiB of idle arena. (A sync.Pool would release them within two
+// GC cycles.)
 const maxFreeChunks = 1024
 
 var freeChunks struct {
