@@ -31,7 +31,7 @@ func (s *summarizer) materialize(entryPC uint32, top int32) *Verdict {
 
 const haltSentinel = 0xffff_fffe
 
-// emitFrame replays the derivation of outcome o from (pc, cursor,
+// emitFrame replays the derivation of outcome id from (pc, cursor,
 // loopCtx), emitting every control transfer, and returns the evidence
 // cursor after the frame completes along with the exiting instruction's
 // address.
