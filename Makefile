@@ -1,7 +1,7 @@
 # Developer / CI entry points. `make check` is what CI runs.
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test race fuzz fuzz-smoke fuzz-corpus chaos journal-chaos stream-chaos replay-selftest obs bench bench-smoke bench-verify bench-fleet bench-stream serve-selftest metrics-scrape
+.PHONY: check fmt vet staticcheck build test race fuzz fuzz-smoke fuzz-corpus chaos journal-chaos stream-chaos replay-selftest obs bench bench-verify bench-fleet bench-stream serve-selftest metrics-scrape
 
 check: fmt vet staticcheck build test race fuzz chaos journal-chaos
 
@@ -102,11 +102,6 @@ metrics-scrape:
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run xxx .
-
-# Quick gateway-throughput smoke: one iteration per case, cache off vs
-# on. CI uploads the output so fast-path regressions are visible per-PR.
-bench-smoke:
-	$(GO) test -bench ServerThroughput -benchtime 1x -run xxx . | tee bench-smoke.txt
 
 # Verifier-core engine matrix: interpreter vs compiled automaton, cache
 # off/on, on frozen attested evidence. Writes BENCH_verify.json; CI

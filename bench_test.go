@@ -17,11 +17,6 @@ package raptrack
 // `go run ./cmd/benchsuite` prints the same data as aligned tables.
 
 import (
-	"errors"
-	"fmt"
-	"io"
-	"net"
-	"sync"
 	"testing"
 
 	"raptrack/internal/apps"
@@ -30,18 +25,10 @@ import (
 	"raptrack/internal/baseline/traces"
 	"raptrack/internal/core"
 	"raptrack/internal/linker"
-	"raptrack/internal/remote"
-	"raptrack/internal/server"
 	"raptrack/internal/speccfa"
 	"raptrack/internal/trace/pipeline"
 	"raptrack/internal/verify"
 )
-
-// attest runs one batch attestation session through the unified client
-// API (remote.Client).
-func attestApp(ep *remote.ProverEndpoint, conn io.ReadWriter, app string) (remote.GatewayVerdict, error) {
-	return remote.NewClient(ep).Attest(conn, app)
-}
 
 func evalApps(b *testing.B) []apps.App {
 	b.Helper()
@@ -410,114 +397,6 @@ func BenchmarkVerifyEffort(b *testing.B) {
 			b.ReportMetric(rapEvals, "rap_evals")
 			b.ReportMetric(trEvals, "traces_evals")
 			b.ReportMetric(trEvals/rapEvals, "traces/rap_x")
-		})
-	}
-}
-
-// BenchmarkServerThroughput measures end-to-end attestation sessions per
-// second through the internal/server gateway over loopback TCP, at rising
-// client concurrency, with the verification fast path off and on. One
-// session = dial + HELO + (dictionary) + challenge + attested prover run +
-// report stream + verification + verdict, so this is the comms-path number
-// later PRs must not regress. The engine=interp/engine=automaton pair
-// quantifies the compiled verifier-core win on uncached sessions, and the
-// cache=on mode the cross-session summary cache + online mining win on top.
-func BenchmarkServerThroughput(b *testing.B) {
-	const appName = "fibcall"
-	a, err := apps.Get(appName)
-	if err != nil {
-		b.Fatal(err)
-	}
-	link, err := core.LinkForCFA(a.Build(), core.DefaultLinkOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	key, err := attest.GenerateHMACKey()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ep := remote.NewProverEndpoint()
-	ep.Provision(appName, func() (*core.Prover, error) {
-		return core.NewProver(link, key, core.ProverConfig{SetupMem: a.SetupMem()})
-	})
-
-	for _, mode := range []struct {
-		name string
-		opts func(clients int) []server.Option
-	}{
-		{"engine=interp/cache=off", func(clients int) []server.Option {
-			return []server.Option{server.WithSessionSlots(clients), server.WithCache(-1), server.WithMining(-1, 0, 0), server.WithAutomaton(false)}
-		}},
-		{"engine=automaton/cache=off", func(clients int) []server.Option {
-			return []server.Option{server.WithSessionSlots(clients), server.WithCache(-1), server.WithMining(-1, 0, 0)}
-		}},
-		{"engine=automaton/cache=on", func(clients int) []server.Option {
-			return []server.Option{server.WithSessionSlots(clients)}
-		}},
-	} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			for _, clients := range []int{1, 4, 16} {
-				clients := clients
-				b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-					g := server.New(mode.opts(clients)...)
-					g.Register(appName, core.NewVerifier(link, key))
-					ln, err := net.Listen("tcp", "127.0.0.1:0")
-					if err != nil {
-						b.Fatal(err)
-					}
-					go func() { _ = g.Serve(ln) }()
-					addr := ln.Addr().String()
-
-					b.ResetTimer()
-					var wg sync.WaitGroup
-					sem := make(chan struct{}, clients)
-					errs := make(chan error, b.N)
-					for i := 0; i < b.N; i++ {
-						wg.Add(1)
-						sem <- struct{}{}
-						go func() {
-							defer wg.Done()
-							defer func() { <-sem }()
-							// A fresh dial can race the previous session's slot
-							// release by a few microseconds; a BUSY shed here is
-							// that race, not a result, so redial.
-							for {
-								conn, err := net.Dial("tcp", addr)
-								if err != nil {
-									errs <- err
-									return
-								}
-								gv, err := attestApp(ep, conn, appName)
-								conn.Close()
-								if errors.Is(err, remote.ErrBusy) {
-									continue
-								}
-								if err != nil {
-									errs <- err
-								} else if !gv.OK {
-									errs <- fmt.Errorf("verdict: %s", gv.Reason())
-								}
-								return
-							}
-						}()
-					}
-					wg.Wait()
-					b.StopTimer()
-					b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "sessions/s")
-					st := g.Snapshot()
-					b.ReportMetric(float64(st.CacheHits), "cache_hits")
-					b.ReportMetric(float64(st.DictPromotions), "dict_promotions")
-					b.ReportMetric(float64(st.AutomatonAccepts), "aut_accepts")
-					if err := g.Close(); err != nil {
-						b.Fatal(err)
-					}
-					close(errs)
-					for err := range errs {
-						b.Fatal(err)
-					}
-				})
-			}
 		})
 	}
 }

@@ -56,7 +56,6 @@ func cmdServe(args []string) error {
 	busyRetryAfter := fs.Duration("busy-retry-after", 0, "retry-after hint carried in BUSY sheds (0: no hint)")
 	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive verify errors before the per-app breaker opens (0: default 8, negative: off)")
 	breakerCooldown := fs.Duration("breaker-cooldown", 0, "open-breaker shed window before a half-open probe (0: default 2s)")
-	automaton := fs.Bool("automaton", true, "decode accepts with the compiled table-driven verifier core (false: interpreter only)")
 	selftest := fs.Int("selftest", 0, "drive N concurrent local prover sessions, print stats, exit")
 	watermark := fs.Int("watermark", 0, "MTB watermark for selftest provers (0: buffer size)")
 	verbose := fs.Bool("v", false, "log per-session failures")
@@ -116,7 +115,6 @@ func cmdServe(args []string) error {
 		server.WithMining(*mineEvery, *minePaths, *maxDictPaths),
 		server.WithBusyRetryAfter(*busyRetryAfter),
 		server.WithBreaker(*breakerThreshold, *breakerCooldown),
-		server.WithAutomaton(*automaton),
 		server.WithObserver(observer),
 	}
 	if jnl != nil {
@@ -319,7 +317,7 @@ func writeMetrics(path, adminURL string, reg *obs.Registry) error {
 // runSelftest dials n concurrent prover sessions (round-robin over the
 // provisioned apps) into the gateway's own listener. A sequential warmup
 // session per app runs first so the concurrent batch exercises the fast
-// path: warmed verdict/segment caches and a freshly mined dictionary.
+// path: warmed verdict caches and a freshly mined dictionary.
 func runSelftest(g *server.Gateway, ep *remote.ProverEndpoint, addr string, names []string, n int) error {
 	fmt.Printf("selftest: warmup round over %d apps\n", len(names))
 	for _, app := range names {

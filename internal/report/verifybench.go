@@ -46,7 +46,7 @@ type VerifyBenchReport struct {
 // VerifyBench measures end-to-end verification of real attested evidence
 // for each named workload through the 2x2 engine matrix: interpretive
 // pushdown search vs compiled automaton, with and without the
-// cross-session summary cache. Each cell reuses one frozen evidence
+// cross-session verdict cache. Each cell reuses one frozen evidence
 // stream (attested once up front), so the numbers isolate the verifier
 // core — no emulation, signing, or network in the loop. A fifth cell per
 // workload, engine "reject", times the gateway's path for a hijacked
@@ -176,8 +176,8 @@ func measureReject(v *verify.Verifier, key *attest.HMACKey, chal attest.Challeng
 		}
 		return nil
 	}
-	// Warm-up: one reject per position, so the segment cache holds what
-	// a gateway's would after its first hijacks.
+	// Warm-up: one reject per position, so the outcome arena's free list
+	// holds what a gateway's would after its first hijacks.
 	op := 0
 	for ; op < len(rejectPositions); op++ {
 		if err := reject(op); err != nil {

@@ -210,19 +210,19 @@ func (g *Gateway) registerMetrics() *gatewayMetrics {
 		func() float64 { return float64(g.dictPaths()) })
 
 	r.CounterFunc("raptrack_cache_hits_total",
-		"Verdict/segment cache hits across apps (shared caches counted once).",
+		"Verdict cache hits across apps (shared caches counted once).",
 		func() float64 { return float64(g.cacheTotals().Hits) })
 	r.CounterFunc("raptrack_cache_misses_total",
-		"Verdict/segment cache misses across apps.",
+		"Verdict cache misses across apps.",
 		func() float64 { return float64(g.cacheTotals().Misses) })
 	r.CounterFunc("raptrack_cache_evictions_total",
-		"Verdict/segment cache evictions across apps.",
+		"Verdict cache evictions across apps.",
 		func() float64 { return float64(g.cacheTotals().Evictions) })
 	r.GaugeFunc("raptrack_cache_entries",
-		"Verdict/segment cache entries resident across apps.",
+		"Verdict cache entries resident across apps.",
 		func() float64 { return float64(g.cacheTotals().Entries) })
 	r.GaugeFunc("raptrack_cache_bytes",
-		"Verdict/segment cache bytes resident across apps.",
+		"Verdict cache bytes resident across apps.",
 		func() float64 { return float64(g.cacheTotals().Bytes) })
 
 	// Automaton engine activity lives in per-app verify.AutomatonCounters

@@ -56,8 +56,8 @@ type config struct {
 	// quarantine path).
 	DictFault func([]byte) []byte
 
-	// CacheBytes bounds the per-app verification summary cache (0: 64 MiB
-	// default; negative: no cache is attached at Register).
+	// CacheBytes bounds the per-app verdict cache (0: 64 MiB default;
+	// negative: no cache is attached at Register).
 	CacheBytes int64
 	// MineEvery runs speccfa.Mine on the evidence of every MineEvery-th
 	// accepted session per app that missed the verdict cache, starting
@@ -76,12 +76,6 @@ type config struct {
 	// session — the journal degrades internally and the gateway keeps
 	// serving.
 	Journal *journal.Journal
-
-	// DisableAutomaton turns off the compiled table-driven verifier core
-	// for all sessions: every job runs the interpretive pushdown search.
-	// Default off — the automaton decodes the accept path, with the
-	// interpreter rendering every non-accept verdict.
-	DisableAutomaton bool
 }
 
 func (c config) withDefaults() config {
@@ -171,8 +165,8 @@ func WithBreaker(threshold int, cooldown time.Duration) Option {
 	}
 }
 
-// WithCache bounds the per-app verification summary cache in bytes
-// (0: 64 MiB default; negative: no cache is attached at Register).
+// WithCache bounds the per-app verdict cache in bytes (0: 64 MiB
+// default; negative: no cache is attached at Register).
 func WithCache(bytes int64) Option {
 	return func(s *settings) { s.cfg.CacheBytes = bytes }
 }
@@ -191,18 +185,6 @@ func WithMining(every, paths, maxDictPaths int) Option {
 		s.cfg.MinePaths = paths
 		s.cfg.MaxDictPaths = maxDictPaths
 	}
-}
-
-// WithAutomaton toggles the compiled table-driven verifier core (default
-// on). When on, each live dictionary version carries an automaton machine
-// compiled against exactly that dictionary, and accepted sessions decode
-// through the flat table instead of the interpretive pushdown search; the
-// interpreter still renders every non-accept verdict, so rejection codes
-// never depend on this switch. When off, all sessions run the
-// interpreter — the reference configuration for differential testing and
-// benchmarking.
-func WithAutomaton(on bool) Option {
-	return func(s *settings) { s.cfg.DisableAutomaton = !on }
 }
 
 // WithFaults installs the chaos-injection hooks: verifyHook runs on the

@@ -84,10 +84,8 @@ type appState struct {
 	dictMu sync.Mutex    // serializes mining promotions
 	misses atomic.Uint64 // accepted verdicts that missed the verdict cache (mining cadence)
 
-	// autOn gates the compiled automaton engine for this app's sessions
-	// (WithAutomaton); autCtrs outlives the per-dictState machines so
-	// exported metrics stay monotonic across DICT-bump recompiles.
-	autOn   bool
+	// autCtrs outlives the per-dictState machines so exported metrics
+	// stay monotonic across DICT-bump recompiles.
 	autCtrs *verify.AutomatonCounters
 
 	// brk sheds the app's sessions while its verify path is erroring
@@ -194,7 +192,7 @@ func newGateway(s settings) *Gateway {
 func (g *Gateway) Observer() *obs.Observer { return g.obs }
 
 // Register provisions the shared Verifier for one application. Unless
-// caching is disabled (WithCache(-1)) a summary cache is attached — the
+// caching is disabled (WithCache(-1)) a verdict cache is attached — the
 // Verifier's own if it already carries one, a fresh per-app cache
 // otherwise — and the Verifier's provisioned speculation dictionary seeds
 // the app's live dictionary. Safe to call while serving; re-registering
@@ -207,7 +205,6 @@ func (g *Gateway) Register(app string, v *verify.Verifier) {
 		name:     app,
 		verifier: v,
 		cache:    v.Cache(),
-		autOn:    !g.cfg.DisableAutomaton,
 		autCtrs:  &verify.AutomatonCounters{},
 		brk:      breaker{threshold: g.cfg.BreakerThreshold, cooldown: g.cfg.BreakerCooldown},
 	}
@@ -238,12 +235,9 @@ func (st *appState) newDictState(version uint64, d *speccfa.Dictionary) *dictSta
 // compileAut lowers the app's golden artifact against d. The verifier's
 // compiled transition core is reused, so a DICT version bump recompiles
 // in O(dictionary) rather than O(image). Returns nil — sessions fall back
-// to the interpretive search — when the engine is disabled on the gateway
-// or the verifier, or when compilation fails.
+// to the interpretive search — when the verifier was built with
+// verify.WithAutomaton(false), or when compilation fails.
 func (st *appState) compileAut(d *speccfa.Dictionary) *verify.Automaton {
-	if !st.autOn {
-		return nil
-	}
 	start := time.Now()
 	aut, err := st.verifier.CompileAutomaton(d)
 	if err != nil || aut == nil {

@@ -4,6 +4,7 @@
 package server_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -496,6 +497,89 @@ func TestGatewayFastPathDisabled(t *testing.T) {
 	}
 	if st.MinedSessions != 0 || st.DictPromotions != 0 || st.DictPaths != 0 {
 		t.Errorf("mining active despite MineEvery<0: %+v", st)
+	}
+}
+
+// TestGatewayInterpreterOnlyVerifier registers a Verifier built with
+// verify.WithAutomaton(false): the gateway compiles no machine for it, so
+// the interpreter alone accepts honest sessions and rejects a hijacked
+// one, and raptrack_automaton_decodes_total stays 0. Re-registering the
+// app with a default Verifier is the control: its first session decodes.
+func TestGatewayInterpreterOnlyVerifier(t *testing.T) {
+	f := fixture(t, "prime")
+	g, addr, ep := startGateway(t, nil)
+	g.Register("prime", core.NewVerifier(f.link, f.key, verify.WithAutomaton(false)))
+	f.provision(ep, 0)
+	decodes := func() string {
+		var b strings.Builder
+		if err := g.Observer().Registry().WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(b.String(), "\n") {
+			if strings.HasPrefix(line, "raptrack_automaton_decodes_total ") {
+				return strings.TrimPrefix(line, "raptrack_automaton_decodes_total ")
+			}
+		}
+		t.Fatal("no raptrack_automaton_decodes_total in the exposition")
+		return ""
+	}
+
+	for i := 0; i < 2; i++ {
+		gv, err := attestApp(ep, dial(t, addr), "prime")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !gv.OK {
+			t.Fatalf("honest session %d: %s", i, gv.Reason())
+		}
+	}
+
+	// A batch session whose evidence carries a gadget edge mid-log,
+	// re-signed so it passes chain authentication.
+	conn, chal := streamHandshake(t, addr, "prime", "dev-hijack")
+	p, err := core.NewProver(f.link, f.key, core.ProverConfig{SetupMem: f.app.SetupMem()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, _, err := p.Attest(chal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := reports[0]
+	k := len(r.CFLog) / 16 // the middle packet
+	r.CFLog = append([]byte(nil), r.CFLog...)
+	binary.LittleEndian.PutUint32(r.CFLog[8*k:], 0x8000_0010)
+	binary.LittleEndian.PutUint32(r.CFLog[8*k+4:], 0x8000_0014)
+	if err := attest.SignReport(r, f.key); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reports {
+		if err := remote.WriteFrame(conn, remote.FrameRprt, r.Encode()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gv, err := remote.DecodeVerdict(expectFrame(t, conn, remote.FrameVerdict))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gv.OK || gv.Code == verify.ReasonInconclusive {
+		t.Fatalf("hijacked session verdict = %+v", gv)
+	}
+	st := waitStats(t, g, func(s server.Stats) bool { return s.VerdictOK == 2 && s.VerdictAttack == 1 })
+	if st.AutomatonCompiles != 0 || st.AutomatonDecodes != 0 {
+		t.Errorf("interpreter-only verifier ran the automaton: %+v", st)
+	}
+	if got := decodes(); got != "0" {
+		t.Errorf("raptrack_automaton_decodes_total = %s, want 0", got)
+	}
+
+	g.Register("prime", core.NewVerifier(f.link, f.key))
+	if gv, err := attestApp(ep, dial(t, addr), "prime"); err != nil || !gv.OK {
+		t.Fatalf("control session: %+v, %v", gv, err)
+	}
+	waitStats(t, g, func(s server.Stats) bool { return s.VerdictOK == 3 })
+	if got := decodes(); got != "1" {
+		t.Errorf("default verifier: raptrack_automaton_decodes_total = %s, want 1", got)
 	}
 }
 

@@ -45,8 +45,8 @@ type Stats struct {
 	VerifyTotal   time.Duration // summed reconstruction wall time
 	VerifyHist    []HistBucket
 
-	// Fast-path instrumentation (verdict + segment caches, aggregated
-	// across apps; shared caches are counted once).
+	// Fast-path instrumentation (verdict cache, aggregated across apps;
+	// shared caches are counted once).
 	CacheHits      uint64
 	CacheMisses    uint64
 	CacheEvictions uint64

@@ -6,7 +6,7 @@ import "raptrack/internal/trace"
 // aid): entry count, total outcomes, advance-memo size and abstract work.
 func Diag(v *Verifier, packets []trace.Packet) (entries, outcomes, advs int, work uint64) {
 	entryPC, _ := v.link.Image.EntryAddr()
-	s := v.newSummarizer(packets, nil)
+	s := v.newSummarizer(packets)
 	defer s.release()
 	s.solve(entryPC)
 	for id := int32(0); id < s.nEntries; id++ {

@@ -7,7 +7,6 @@ import "raptrack/internal/speccfa"
 type options struct {
 	maxInstrs uint64
 	pathCap   int
-	debug     bool
 	automaton bool
 	spec      *speccfa.Dictionary
 	cache     *Cache
@@ -47,13 +46,6 @@ func WithPathCap(n int) Option {
 	}
 }
 
-// WithDebug toggles search diagnostics on stdout (development aid). The
-// flag is carried per search state, so one debugging Verifier does not
-// affect concurrent verifications by others.
-func WithDebug(on bool) Option {
-	return func(o *options) { o.debug = on }
-}
-
 // WithSpeculation provisions the SpecCFA sub-path dictionary used to
 // expand marker packets before reconstruction (must match the Prover's
 // dictionary). Per-session dictionaries — a gateway negotiating a live,
@@ -71,11 +63,13 @@ func WithAutomaton(on bool) Option {
 	return func(o *options) { o.automaton = on }
 }
 
-// WithCache attaches a cross-session summary cache: whole-stream verdicts
-// and deterministic segment walks are memoized in it, keyed by (H_MEM,
-// evidence window, loop state), so concurrent sessions attesting the same
-// firmware reuse pushdown work. The cache may be shared by many Verifiers
-// and is safe for concurrent use; nil detaches.
+// WithCache attaches a cross-session verdict cache: the whole-chain entry
+// points (Verify, VerifyWithDictionary, VerifyWithAutomaton and
+// Session.Seal) memoize each verdict under SHA-256(H_MEM ‖ expanded
+// evidence), so sessions that repeat a stream skip its verification. A
+// hit returns the verdict the miss rendered, identical in every field but
+// Timing and Evidence, which describe the call. The cache may be shared
+// by many Verifiers and is safe for concurrent use; nil detaches.
 func WithCache(c *Cache) Option {
 	return func(o *options) { o.cache = c }
 }
@@ -92,7 +86,7 @@ func (v *Verifier) With(opts ...Option) *Verifier {
 	return &nv
 }
 
-// Cache returns the attached summary cache (nil when caching is off).
+// Cache returns the attached verdict cache (nil when caching is off).
 func (v *Verifier) Cache() *Cache { return v.opts.cache }
 
 // Speculation returns the constructor-provisioned SpecCFA dictionary

@@ -428,10 +428,13 @@ func (s *Session) seal() (*Verdict, error) {
 		}
 		packets = expanded
 	}
-	if c := v.opts.cache; c != nil {
-		if vd, ok := c.lookupVerdict(v.hmem, packets); ok {
-			// lookupVerdict returned a private copy, so stamping this
-			// session's evidence and timing never races other sessions.
+	c := v.opts.cache
+	var key cacheKey
+	if c != nil {
+		key = verdictKey(v.hmem, packets)
+		if vd, ok := c.get(key); ok {
+			// get returned a private copy, so stamping this session's
+			// evidence and timing never races other sessions.
 			vd.Evidence = packets
 			tm.CacheHit = true
 			vd.Timing = tm
@@ -451,8 +454,8 @@ func (s *Session) seal() (*Verdict, error) {
 	tm.Search += time.Since(phase)
 	vd.Evidence = packets
 	vd.Timing = tm
-	if c := v.opts.cache; c != nil {
-		c.storeVerdict(v.hmem, packets, vd)
+	if c != nil {
+		c.put(key, vd)
 	}
 	return vd, nil
 }

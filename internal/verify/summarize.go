@@ -27,8 +27,8 @@ const (
 
 // loopMap is the frame-local optimized-loop state: controlling-branch
 // address -> remaining continue count. Copied on write, so a snapshot is
-// never mutated after it escapes — cached segment summaries may share
-// their maps across sessions.
+// never mutated after it escapes — memo entries and advance results share
+// their maps.
 type loopMap map[uint32]uint64
 
 func (l loopMap) clone() loopMap {
@@ -81,30 +81,11 @@ type summarizer struct {
 	firstPC     uint32
 	attackNoted bool
 
-	cache *Cache     // shared cross-session segment cache (nil = off)
-	rec   *segRecord // active segment recording (nil outside cache misses)
-
 	segCap    uint64 // max instructions per deterministic segment
 	emitLoops uint64 // loop trip counts applied during witness emission
-	debug     bool   // verbose search diagnostics (WithDebug)
-}
-
-// segRecord tracks the evidence extent one recorded advance peeked, so
-// the resulting summary can be keyed on exactly that window.
-type segRecord struct {
-	start int // entry cursor
-	end   int // one past the last peeked in-stream position
-	eos   bool
-	note  *noteRec
 }
 
 func (s *summarizer) note(code ReasonCode, pc uint32, format string, args ...any) {
-	if s.debug {
-		fmt.Printf("note(eval %d): pc=%#x: %s\n", s.evals, pc, fmt.Sprintf(format, args...))
-	}
-	if r := s.rec; r != nil && r.note == nil {
-		r.note = &noteRec{pc: pc, code: code, msg: fmt.Sprintf(format, args...)}
-	}
 	if s.firstReason == "" {
 		s.firstCode = code
 		s.firstReason = fmt.Sprintf(format, args...)
@@ -116,12 +97,6 @@ func (s *summarizer) note(code ReasonCode, pc uint32, format string, args ...any
 // actionable diagnostics, so they take precedence over generic
 // missing-evidence notes from abandoned search branches.
 func (s *summarizer) noteAttack(code ReasonCode, pc uint32, format string, args ...any) {
-	if s.debug {
-		fmt.Printf("ATTACK(eval %d): pc=%#x: %s\n", s.evals, pc, fmt.Sprintf(format, args...))
-	}
-	if r := s.rec; r != nil && r.note == nil {
-		r.note = &noteRec{pc: pc, code: code, msg: fmt.Sprintf(format, args...), attack: true}
-	}
 	if s.firstReason == "" || !s.attackNoted {
 		s.firstCode = code
 		s.firstReason = fmt.Sprintf(format, args...)
@@ -348,17 +323,6 @@ func (s *summarizer) advance(pc uint32, cursor int, loopCtx loopMap, emit func(E
 }
 
 func (s *summarizer) peek(cursor int) (trace.Packet, bool) {
-	if r := s.rec; r != nil {
-		if cursor < len(s.packets) {
-			if cursor+1 > r.end {
-				r.end = cursor + 1
-			}
-		} else {
-			// The walk observed end-of-stream: the summary only applies
-			// where the stream ends at the same relative position.
-			r.eos = true
-		}
-	}
 	if cursor < len(s.packets) {
 		return s.packets[cursor], true
 	}
@@ -366,19 +330,15 @@ func (s *summarizer) peek(cursor int) (trace.Packet, bool) {
 }
 
 // walkState advances from (pc, cursor, loopCtx) and returns the frame
-// outcomes from there. Deterministic advances are memoized per session
-// (worklist re-evaluations would otherwise re-walk the same segments) and,
-// when a shared cache is attached, across sessions as relocatable segment
-// summaries. The returned list is read-only and may be a live entry's
-// growing set: callers range over the snapshot they were handed.
+// outcomes from there. Deterministic advances are memoized per search
+// (worklist re-evaluations would otherwise re-walk the same segments).
+// The returned list is read-only and may be a live entry's growing set:
+// callers range over the snapshot they were handed.
 func (s *summarizer) walkState(pc uint32, cursor int, loopCtx loopMap) []int32 {
 	k := nodeKey{pc: pc, cursor: cursor, lhash: loopCtx.hash()}
 	m, ok := s.advMemo[k]
 	if !ok {
-		st, hit := s.cachedAdvance(pc, cursor, loopCtx)
-		if !hit {
-			st = s.recordedAdvance(pc, cursor, loopCtx)
-		}
+		st := s.advance(pc, cursor, loopCtx, nil)
 		m = advMemo{st: st}
 		if st.kind == advExit {
 			m.exit = int32(len(s.exits))
@@ -396,67 +356,6 @@ func (s *summarizer) walkState(pc uint32, cursor int, loopCtx loopMap) []int32 {
 		return s.exits[m.exit : m.exit+1 : m.exit+1]
 	}
 	return s.walkNode(m.st.pc, m.st.cursor, m.st.loopCtx)
-}
-
-// cachedAdvance consults the shared cross-session segment cache. On a hit
-// the stored note (if any) is replayed through the normal diagnostic
-// precedence, and the summary's relative cursors are rebased to cursor.
-func (s *summarizer) cachedAdvance(pc uint32, cursor int, loopCtx loopMap) (advState, bool) {
-	if s.cache == nil {
-		return advState{}, false
-	}
-	sg, ok := s.cache.lookupSegment(s.v.hmem, pc, loopCtx, s.packets, cursor)
-	if !ok {
-		return advState{}, false
-	}
-	if n := sg.note; n != nil {
-		if n.attack {
-			s.noteAttack(n.code, n.pc, "%s", n.msg)
-		} else {
-			s.note(n.code, n.pc, "%s", n.msg)
-		}
-	}
-	st := sg.res
-	switch st.kind {
-	case advNode:
-		st.cursor += cursor
-	case advExit:
-		st.exit.cursor += cursor
-	}
-	return st, true
-}
-
-// recordedAdvance runs advance with window recording and publishes the
-// resulting summary to the shared cache (unless the walk was cut short by
-// the work budget, which is a Verifier-local limit, not a property of the
-// evidence).
-func (s *summarizer) recordedAdvance(pc uint32, cursor int, loopCtx loopMap) advState {
-	if s.cache == nil {
-		return s.advance(pc, cursor, loopCtx, nil)
-	}
-	rec := &segRecord{start: cursor, end: cursor}
-	s.rec = rec
-	st := s.advance(pc, cursor, loopCtx, nil)
-	s.rec = nil
-	if s.aborted {
-		return st
-	}
-	sg := &segSummary{
-		pc:      pc,
-		loopCtx: loopCtx,
-		win:     append([]trace.Packet(nil), s.packets[rec.start:rec.end]...),
-		eos:     rec.eos,
-		res:     st,
-		note:    rec.note,
-	}
-	switch st.kind {
-	case advNode:
-		sg.res.cursor -= cursor
-	case advExit:
-		sg.res.exit.cursor -= cursor
-	}
-	s.cache.storeSegment(s.v.hmem, sg)
-	return st
 }
 
 // walkNode returns the memoized outcomes of a branching/calling node,
@@ -613,15 +512,13 @@ func (s *summarizer) call(id int32, pc, retSite, callee uint32, cursor int, loop
 
 // newSummarizer prepares the search state for one reconstruction; release
 // it when done.
-func (v *Verifier) newSummarizer(packets []trace.Packet, cache *Cache) *summarizer {
+func (v *Verifier) newSummarizer(packets []trace.Packet) *summarizer {
 	return &summarizer{
 		v:       v,
 		packets: packets,
 		memo:    make(map[nodeKey]int32),
 		advMemo: make(map[nodeKey]advMemo),
-		cache:   cache,
 		segCap:  uint64(len(v.link.Image.Code)) + 16,
-		debug:   v.opts.debug,
 	}
 }
 
@@ -651,7 +548,7 @@ func (v *Verifier) reconstruct(packets []trace.Packet) *Verdict {
 	if err != nil {
 		return &Verdict{OK: false, Code: ReasonBadImage, Detail: fmt.Sprintf("golden image has no entry: %v", err), Packets: len(packets)}
 	}
-	s := v.newSummarizer(packets, v.opts.cache)
+	s := v.newSummarizer(packets)
 	defer s.release()
 
 	fail := func(code ReasonCode, detail string, pc uint32) *Verdict {

@@ -41,10 +41,9 @@
 //
 // # Fast path
 //
-// Verifiers in a gateway share a [Cache] (see WithCache): whole-stream
-// verdicts and deterministic segment walks are memoized across sessions,
-// keyed by H_MEM and the exact evidence they depend on, so a fleet of
-// devices running identical firmware amortizes the pushdown search.
+// Verifiers in a gateway share a [Cache] (see WithCache) of whole-stream
+// verdicts, keyed by H_MEM and the expanded evidence, so a fleet of
+// devices running identical firmware verifies each distinct stream once.
 package verify
 
 import (
@@ -104,8 +103,9 @@ type Verdict struct {
 	Path []Edge
 
 	// Evidence is the decompressed packet stream the verdict judged
-	// (populated by Verify/VerifyWithDictionary, nil from ReplayPackets
-	// cache hits). Gateways mine it for hot sub-paths; treat as read-only.
+	// (populated by Verify/VerifyWithDictionary and Session.Seal, nil from
+	// ReplayPackets). Gateways mine it for hot sub-paths; treat as
+	// read-only.
 	Evidence []trace.Packet
 
 	// Timing attributes the verification wall clock per phase (populated
@@ -143,8 +143,8 @@ type Verifier struct {
 
 // New builds a Verifier for the linked artifact, configured by functional
 // options (see WithMaxInstrs, WithPathCap, WithSpeculation, WithCache,
-// WithDebug). With no options the defaults match a plain verifier: 500M
-// instruction budget, 4096 path edges, no speculation, no cache.
+// WithAutomaton). With no options the defaults are a 500M instruction
+// budget, 4096 path edges, no speculation, no cache and the automaton on.
 func New(link *linker.Output, auth attest.Authenticator, opts ...Option) *Verifier {
 	o := defaultOptions()
 	for _, opt := range opts {
@@ -206,9 +206,9 @@ func (v *Verifier) hmemMismatch(hmem [sha256.Size]byte, tm PhaseTiming) *Verdict
 	}
 }
 
-// ReplayPackets reconstructs a path directly from packets (testing and
-// tooling aid; skips authentication and the whole-stream verdict cache,
-// though an attached cache still shares segment summaries).
+// ReplayPackets reconstructs a path directly from packets with the
+// interpreter (testing and tooling aid): it skips authentication and
+// never consults the verdict cache.
 func (v *Verifier) ReplayPackets(packets []trace.Packet) *Verdict {
 	return v.reconstruct(packets)
 }

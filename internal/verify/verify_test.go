@@ -19,7 +19,6 @@ import (
 	"raptrack/internal/linker"
 	"raptrack/internal/mem"
 	"raptrack/internal/trace"
-	"raptrack/internal/trace/pipeline"
 	"raptrack/internal/verify"
 )
 
@@ -27,46 +26,8 @@ import (
 // artifact plus the genuine packet stream.
 func attested(t *testing.T, prog *asm.Program) (*linker.Output, []trace.Packet) {
 	t.Helper()
-	out, err := linker.Link(prog, linker.DefaultOptions())
-	if err != nil {
-		t.Fatalf("link: %v", err)
-	}
-	key, err := attest.GenerateHMACKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := mem.New()
-	eng, err := cfa.New(cfa.Config{Link: out, Mem: m, Signer: key})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chal, err := attest.NewChallenge(prog.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Begin(chal); err != nil {
-		t.Fatal(err)
-	}
-	c, err := cpu.New(eng.CPUConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Run(0); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	reports, err := eng.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var log []byte
-	for _, r := range reports {
-		log = append(log, r.CFLog...)
-	}
-	packets, derr := pipeline.New(pipeline.Raw(pipeline.FormatMTB, log)).Packets()
-	if derr != nil {
-		t.Fatal(derr)
-	}
-	return out, packets
+	out, _, _, reports := attestedSession(t, prog)
+	return out, chainPackets(t, reports)
 }
 
 func newVerifier(out *linker.Output) *verify.Verifier {
@@ -382,8 +343,8 @@ func TestHMemMismatchRejected(t *testing.T) {
 // (the gateway deployment shape: one Verifier per app, all sessions).
 // Every reconstruction — accepts and rejects alike — must render the
 // verdict a lone run renders, field for field; run under -race to catch
-// hidden shared state in the search (memo maps, debug globals, the
-// outcome arena's chunk free list, ...).
+// hidden shared state in the search (memo maps, the outcome arena's
+// chunk free list, ...).
 func TestVerifierConcurrentUse(t *testing.T) {
 	out, packets := attested(t, richProgram())
 	v := newVerifier(out)
