@@ -41,7 +41,7 @@ func cmdServe(args []string) error {
 	metricsOut := fs.String("metrics-out", "", "write a final /metrics scrape to this file on shutdown (atomically; also snapshotted every -metrics-interval)")
 	metricsInterval := fs.Duration("metrics-interval", 30*time.Second, "periodic -metrics-out snapshot period (0: final scrape only)")
 	journalDir := fs.String("journal", "", "durable evidence plane: journal every verdict and dictionary version under this directory (empty: off)")
-	journalFsync := fs.String("journal-fsync", "each", "journal durability policy: each (group commit), interval, never")
+	journalFsync := fs.String("journal-fsync", "each", "journal durability policy: each (one fsync per committed batch), interval, never")
 	journalSegBytes := fs.Int64("journal-segment-bytes", 0, "journal segment rotation size (0: 1 MiB default)")
 	traceRing := fs.Int("trace-ring", 0, "session traces kept per app for /debug/sessions (0: default 64)")
 	appList := fs.String("apps", "", "comma-separated workloads to serve (default: all)")

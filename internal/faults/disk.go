@@ -6,6 +6,7 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"raptrack/internal/journal"
 )
@@ -16,11 +17,11 @@ import (
 var ErrInjectedDisk = errors.New("faults: injected disk error")
 
 // WrapFS wraps a journal filesystem with the injector's seeded
-// disk-fault schedule: short writes, write errors, fsync errors, and
-// cold-read bit flips. The returned *DiskFS additionally simulates
-// power loss — [DiskFS.Crash] discards every byte not yet covered by an
-// fsync (keeping a seeded partial tail, the torn-record signature an
-// interrupted append leaves on a real disk).
+// disk-fault schedule: short writes, write errors, fsync errors, fsync
+// stalls, and cold-read bit flips. The returned *DiskFS additionally
+// simulates power loss — [DiskFS.Crash] discards every byte not yet
+// covered by an fsync (keeping a seeded partial tail, the torn-record
+// signature an interrupted append leaves on a real disk).
 func (in *Injector) WrapFS(inner journal.FS) *DiskFS {
 	if inner == nil {
 		inner = journal.OSFS
@@ -34,9 +35,10 @@ func (in *Injector) WrapFS(inner journal.FS) *DiskFS {
 // the wrapped FS, injecting faults per the plan, and tracks per-path
 // durable offsets so Crash can replay what a power cut leaves behind.
 type DiskFS struct {
-	in    *Injector
-	inner journal.FS
-	armed atomic.Bool
+	in      *Injector
+	inner   journal.FS
+	armed   atomic.Bool
+	crashed atomic.Bool // set by Crash: nothing lands afterwards
 
 	mu     sync.Mutex
 	synced map[string]int64 // bytes guaranteed durable per path
@@ -146,9 +148,13 @@ func (d *DiskFS) SyncDir(name string) error { return d.inner.SyncDir(name) }
 // Crash simulates power loss: every path loses its bytes beyond the
 // last fsync, except for a seeded prefix of the unsynced tail — the
 // partially-flushed page a real crash strands, i.e. a torn record for
-// the recovery scan to find. Call only after the journal writing
-// through this FS is closed or abandoned.
+// the recovery scan to find. The power stays off: every write and
+// fsync through this FS that starts after Crash fails and lands
+// nothing, so a journal still running over it (say, with a committer
+// stalled in an fsync) cannot extend the crashed image. Inspect the
+// image with a fresh FS.
 func (d *DiskFS) Crash() error {
+	d.crashed.Store(true)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for name, written := range d.size {
@@ -183,6 +189,9 @@ type diskFile struct {
 }
 
 func (f *diskFile) Write(p []byte) (int, error) {
+	if f.fs.crashed.Load() {
+		return 0, fmt.Errorf("%w: write %s after power loss", ErrInjectedDisk, f.name)
+	}
 	in := f.fs.inj()
 	if in != nil && in.roll(in.plan.DiskWriteErr, &in.c.DiskWriteErrs) {
 		return 0, fmt.Errorf("%w: write %s", ErrInjectedDisk, f.name)
@@ -212,8 +221,20 @@ func (f *diskFile) note(n int) {
 	f.fs.mu.Unlock()
 }
 
+// Sync applies a stall first — a slow disk — then the crash and error
+// faults, then the real fsync.
 func (f *diskFile) Sync() error {
 	in := f.fs.inj()
+	if in != nil && in.roll(in.plan.DiskFsyncStall, &in.c.DiskFsyncStalls) {
+		d := in.plan.DiskFsyncStallFor
+		if d <= 0 {
+			d = 5 * time.Millisecond
+		}
+		time.Sleep(d)
+	}
+	if f.fs.crashed.Load() {
+		return fmt.Errorf("%w: fsync %s after power loss", ErrInjectedDisk, f.name)
+	}
 	if in != nil && in.roll(in.plan.DiskFsyncErr, &in.c.DiskFsyncErrs) {
 		return fmt.Errorf("%w: fsync %s", ErrInjectedDisk, f.name)
 	}

@@ -1,6 +1,6 @@
 // Disk-fault chaos for the evidence journal: seeded schedules of short
-// writes, fsync-error bursts, simulated power loss (torn tails), and
-// cold-read bit flips, each asserting the journal's recover-or-detect
+// writes, fsync-error bursts, fsync stalls, simulated power loss (torn
+// tails), and cold-read bit flips, each asserting the journal's recover-or-detect
 // contract — every durable record is byte-identical to what was
 // appended, every lost record is accounted, and nothing is ever
 // silently altered or dropped. All must pass under -race.
@@ -149,6 +149,14 @@ func TestDiskFaultsCrashTornTail(t *testing.T) {
 			if err := fs.Crash(); err != nil {
 				t.Fatal(err)
 			}
+			// The power stays off: the abandoned journal's next append
+			// lands nothing and degrades it.
+			if err := j.Append(chaosEntry(offered)); err != nil {
+				t.Fatal(err)
+			}
+			if !j.Degraded() {
+				t.Fatal("append after the crash did not degrade the journal")
+			}
 
 			survived := assertDurablePrefix(t, dir, offered)
 			// Recovery must also append cleanly at the survived head.
@@ -188,7 +196,7 @@ func TestDiskFaultsCrashAfterFsyncKeepsEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := assertDurablePrefix(t, dir, offered); got != offered {
-		t.Fatalf("crash after group commit lost records: %d of %d", got, offered)
+		t.Fatalf("crash after SyncEach commits lost records: %d of %d", got, offered)
 	}
 }
 
@@ -246,7 +254,8 @@ func TestDiskFaultsDeterministicSchedule(t *testing.T) {
 	// Same seed + same operation sequence → same fault schedule.
 	run := func() (Counts, int) {
 		dir := t.TempDir()
-		in := New(42, Plan{DiskWriteShort: 0.15, DiskFsyncErr: 0.1})
+		in := New(42, Plan{DiskWriteShort: 0.15, DiskFsyncErr: 0.1,
+			DiskFsyncStall: 0.3, DiskFsyncStallFor: time.Microsecond})
 		fs := in.WrapFS(nil)
 		fs.Disarm()
 		j, err := journal.Open(dir, journal.Options{FS: fs, Fsync: journal.SyncEach})
@@ -263,6 +272,9 @@ func TestDiskFaultsDeterministicSchedule(t *testing.T) {
 	}
 	c1, a1 := run()
 	c2, a2 := run()
+	if c1.DiskFsyncStalls == 0 {
+		t.Fatalf("schedule stalled no fsync: %+v", c1)
+	}
 	if c1 != c2 || a1 != a2 {
 		t.Fatalf("seeded schedule not deterministic:\n%+v (%d appended)\n%+v (%d appended)", c1, a1, c2, a2)
 	}

@@ -9,8 +9,8 @@
 //     disconnects) via [Injector.WrapConn];
 //   - the gateway (verify panics and stalls) via [Injector.VerifyHook];
 //   - the disk under the evidence journal (short writes, write and
-//     fsync errors, torn tails on simulated power loss, cold-read bit
-//     flips) via [Injector.WrapFS].
+//     fsync errors, fsync stalls, torn tails on simulated power loss,
+//     cold-read bit flips) via [Injector.WrapFS].
 //
 // Determinism contract: an Injector owns a single rand.Rand behind a
 // mutex, so a fixed seed and a fixed *sequence of decisions* replays
@@ -58,10 +58,12 @@ type Plan struct {
 	VerifyStallFor time.Duration // ...for this long (default 5ms)
 
 	// Disk faults (WrapFS) against the evidence journal.
-	DiskWriteShort float64 // a strict prefix lands, then the write errors
-	DiskWriteErr   float64 // write fails outright, nothing lands
-	DiskFsyncErr   float64 // fsync reports failure (durability unknown)
-	DiskBitFlip    float64 // single-bit flip per whole-file read (cold rot)
+	DiskWriteShort    float64       // a strict prefix lands, then the write errors
+	DiskWriteErr      float64       // write fails outright, nothing lands
+	DiskFsyncErr      float64       // fsync reports failure (durability unknown)
+	DiskFsyncStall    float64       // fsync stalls before it syncs...
+	DiskFsyncStallFor time.Duration // ...for this long (default 5ms)
+	DiskBitFlip       float64       // single-bit flip per whole-file read (cold rot)
 }
 
 // Counts is a snapshot of faults actually injected.
@@ -84,6 +86,7 @@ type Counts struct {
 	DiskShortWrites uint64
 	DiskWriteErrs   uint64
 	DiskFsyncErrs   uint64
+	DiskFsyncStalls uint64
 	DiskBitFlips    uint64
 	TornTails       uint64 // partial tails stranded by Crash
 }
@@ -106,7 +109,7 @@ func (c Counts) Wire() uint64 {
 // Disk totals the evidence-journal storage faults.
 func (c Counts) Disk() uint64 {
 	return c.DiskShortWrites + c.DiskWriteErrs + c.DiskFsyncErrs +
-		c.DiskBitFlips + c.TornTails
+		c.DiskFsyncStalls + c.DiskBitFlips + c.TornTails
 }
 
 // Total sums every injected fault.

@@ -33,6 +33,7 @@ func (in *Injector) RegisterMetrics(reg *obs.Registry) {
 				{Labels: []string{"disk", "short_write"}, Value: float64(c.DiskShortWrites)},
 				{Labels: []string{"disk", "write_err"}, Value: float64(c.DiskWriteErrs)},
 				{Labels: []string{"disk", "fsync_err"}, Value: float64(c.DiskFsyncErrs)},
+				{Labels: []string{"disk", "fsync_stall"}, Value: float64(c.DiskFsyncStalls)},
 				{Labels: []string{"disk", "bit_flip"}, Value: float64(c.DiskBitFlips)},
 				{Labels: []string{"disk", "torn_tail"}, Value: float64(c.TornTails)},
 			}

@@ -140,14 +140,13 @@ func (j *Journal) summary() map[string]any {
 	c := j.Counters()
 	degraded := j.Degraded()
 	j.mu.Lock()
-	next := j.nextSeq
+	next := j.nextSeq.Load()
 	head := j.head
-	segs := len(j.sealed) + 1
 	j.mu.Unlock()
 	return map[string]any{
 		"next_seq":     next,
 		"head":         hashHex(head),
-		"segments":     segs,
+		"segments":     j.SealedSegments() + 1,
 		"degraded":     degraded,
 		"devices":      j.audit.deviceCount(),
 		"appended":     c.Appended,

@@ -17,9 +17,10 @@
 //
 // Crash safety is end to end:
 //
-//   - appends are group-committed under a configurable fsync policy
-//     ([SyncEach] amortizes one fsync over all concurrently waiting
-//     appenders — real group commit, not fsync-per-record);
+//   - appends are committed under a configurable fsync policy; under
+//     [SyncEach] one fsync covers every record of an [Journal.AppendBatch]
+//     call, so a single committer that drains a queue pays one fsync for
+//     everything that arrived during the previous one;
 //   - segments are created and the manifest rewritten via
 //     temp-file+rename ([WriteFileAtomic]), so rotation is atomic;
 //   - the startup recovery scan truncates a torn tail record (an
@@ -31,8 +32,8 @@
 //     ring, reports Health() degraded, and counts every shed record.
 //
 // All disk access goes through the [FS] seam so the chaos layer
-// (internal/faults) can inject short writes, fsync errors, torn tails
-// and cold bit flips with a seeded, replayable schedule.
+// (internal/faults) can inject short writes, fsync errors and stalls,
+// torn tails and cold bit flips with a seeded, replayable schedule.
 package journal
 
 import (
@@ -50,8 +51,8 @@ import (
 type FsyncPolicy uint8
 
 const (
-	// SyncEach makes Append return only after the record is fsynced.
-	// Concurrent appenders share fsyncs via group commit.
+	// SyncEach makes AppendBatch (and Append) return only after its
+	// records are fsynced: one fsync per call, covering the whole batch.
 	SyncEach FsyncPolicy = iota
 	// SyncInterval fsyncs on a background ticker; a crash loses at most
 	// one interval of records (as a truncatable torn tail).
@@ -120,7 +121,7 @@ type Counters struct {
 	Shed        uint64 // records diverted to the degraded-mode ring
 	RingDropped uint64 // ring evictions (oldest shed record lost)
 	WriteErrors uint64 // disk write/sync/rotate failures observed
-	Fsyncs      uint64 // fsyncs issued (group commit shares them)
+	Fsyncs      uint64 // fsyncs issued (one covers a whole batch)
 }
 
 // Journal is an open evidence journal. All methods are safe for
@@ -129,25 +130,23 @@ type Journal struct {
 	opts Options
 	dir  string
 
-	mu      sync.Mutex // guards the append path and segment state
+	// mu serializes appends, commits, rotation and Close. A commit's
+	// fsync runs under it, so no path can close or swap the file mid-sync.
+	mu      sync.Mutex
 	active  File
 	actName string
 	actSize int64
-	nextSeq uint64
+	nextSeq atomic.Uint64 // written under mu; read without it
 	head    [32]byte
-	sealed  []manifestSegment
 	closed  bool
 
-	// Group commit: appenders record the byte offset their record ends
-	// at and wait until a leader's fsync covers it. Rotation bumps gen;
-	// waiters from a sealed generation are satisfied by the seal fsync.
-	cmu      sync.Mutex
-	ccond    *sync.Cond
-	cGen     uint64
-	cWritten int64
-	cSynced  int64
-	cBusy    bool
-	cErr     error
+	// The sealed (rotation-retired) segments are indexed by their count
+	// and their two ends, which is all the manifest lists: deleting an
+	// end reads as a missing segment, deleting one between them as a
+	// break in the chain, so rotation stays O(1) however long the
+	// journal runs.
+	sealedN    atomic.Int64
+	sealedEnds []manifestSegment // first and last sealed segment; guarded by mu
 
 	degraded atomic.Bool
 	lastErr  atomic.Pointer[error]
@@ -191,7 +190,6 @@ func Open(dir string, opts Options) (*Journal, error) {
 	}
 
 	j := &Journal{opts: opts, dir: dir}
-	j.ccond = sync.NewCond(&j.cmu)
 
 	res, err := scan(fsys, dir)
 	if err != nil {
@@ -231,7 +229,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 		j.c.truncated.Add(1)
 	}
 	j.c.recovered.Add(uint64(len(res.records)))
-	j.nextSeq = res.nextSeq
+	j.nextSeq.Store(res.nextSeq)
 	j.head = res.head
 	for _, rec := range res.records {
 		j.audit.note(rec)
@@ -244,11 +242,11 @@ func Open(dir string, opts Options) (*Journal, error) {
 		if i == len(res.segments)-1 {
 			break
 		}
-		j.sealed = append(j.sealed, manifestSegment{
+		j.noteSealedLocked(manifestSegment{
 			Name: info.name, BaseSeq: info.base, LastSeq: info.lastSeq, Head: hashHex(info.head),
 		})
 	}
-	if err := writeManifest(fsys, dir, manifest{Sealed: j.sealed}); err != nil {
+	if err := writeManifest(fsys, dir, manifest{Sealed: j.sealedEnds}); err != nil {
 		return nil, err
 	}
 
@@ -281,7 +279,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 // Open, before the journal is shared).
 func (j *Journal) newSegmentLocked() error {
 	fsys := j.opts.FS
-	base := j.nextSeq
+	base := j.nextSeq.Load()
 	name := segmentName(base)
 	path := filepath.Join(j.dir, name)
 	if err := WriteFileAtomic(fsys, path, encodeSegmentHeader(base, j.head), 0o644); err != nil {
@@ -295,151 +293,96 @@ func (j *Journal) newSegmentLocked() error {
 	return nil
 }
 
-// Append seals entry into the chain and commits it under the journal's
-// fsync policy. A journal in degraded mode (or driven into it by this
-// append's disk failure) sheds the record into the bounded in-memory
-// ring instead — the gateway must never die, or block sessions, on its
-// evidence plane. Every call is accounted: Counters().Appended + Shed.
-func (j *Journal) Append(e Entry) error {
-	if e.Kind == 0 || e.Kind >= numKinds {
-		return fmt.Errorf("%w: kind %d", ErrBadRecord, e.Kind)
-	}
-	if e.Time.IsZero() {
-		e.Time = time.Now()
-	}
+// Append commits one entry: AppendBatch with a batch of one.
+func (j *Journal) Append(e Entry) error { return j.AppendBatch([]Entry{e}) }
 
+// AppendBatch seals entries into the chain in order and commits them
+// under the journal's fsync policy; under SyncEach one fsync covers the
+// whole batch (a rotation mid-batch seals the part before it with the
+// seal fsync) and AppendBatch returns once it has. A journal in degraded
+// mode (or driven into it by this batch's disk failure) sheds records
+// into the bounded in-memory ring instead — the gateway must never die
+// on its evidence plane. An entry that does not encode is skipped and
+// its error returned; every other entry is accounted in
+// Counters().Appended + Shed.
+func (j *Journal) AppendBatch(entries []Entry) error {
+	now := time.Now()
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.closed {
-		j.mu.Unlock()
 		return errors.New("journal: closed")
 	}
-	rec := Record{Entry: e, Seq: j.nextSeq, PrevHash: j.head}
-	frame, err := rec.encode()
-	if err != nil {
-		j.mu.Unlock()
-		return err
-	}
-	if j.degraded.Load() {
-		j.shedLocked(rec)
-		j.mu.Unlock()
-		return nil
-	}
-	if j.actSize >= j.opts.SegmentBytes {
-		if err := j.rotateLocked(); err != nil {
-			j.enterDegradedLocked(err)
-			j.shedLocked(rec)
-			j.mu.Unlock()
-			return nil
+	var errs []error
+	wrote := false // the active segment holds records no fsync covers yet
+	for _, e := range entries {
+		if e.Time.IsZero() {
+			e.Time = now
 		}
+		rec := Record{Entry: e, Seq: j.nextSeq.Load(), PrevHash: j.head}
+		frame, err := rec.encode()
+		if err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		if j.degraded.Load() {
+			j.shedLocked(rec)
+			continue
+		}
+		if j.actSize >= j.opts.SegmentBytes {
+			if err := j.rotateLocked(); err != nil {
+				j.noteWriteError(err)
+				j.shedLocked(rec)
+				continue
+			}
+			wrote = false
+		}
+		if _, err := j.active.Write(frame); err != nil {
+			// The segment tail is now indeterminate (a short write may have
+			// landed a partial frame); recovery will truncate it as torn.
+			j.noteWriteError(err)
+			j.shedLocked(rec)
+			continue
+		}
+		wrote = true
+		j.actSize += int64(len(frame))
+		j.nextSeq.Add(1)
+		j.head = rec.Hash
+		j.c.appended.Add(1)
+		j.audit.note(rec)
 	}
-	if _, err := j.active.Write(frame); err != nil {
-		// The segment tail is now indeterminate (a short write may have
-		// landed a partial frame); recovery will truncate it as torn.
-		j.enterDegradedLocked(err)
-		j.shedLocked(rec)
-		j.mu.Unlock()
-		return nil
-	}
-	j.actSize += int64(len(frame))
-	j.nextSeq++
-	j.head = rec.Hash
-	j.c.appended.Add(1)
-	j.audit.note(rec)
-	target := j.actSize
-	file := j.active
-	j.mu.Unlock()
-	j.cmu.Lock()
-	if target > j.cWritten {
-		j.cWritten = target
-	}
-	j.cmu.Unlock()
-
-	if j.opts.Fsync == SyncEach {
-		if err := j.groupCommit(file, target); err != nil {
+	// A degraded journal no longer trusts the disk: like Close, it skips
+	// the fsync.
+	if wrote && j.opts.Fsync == SyncEach && !j.degraded.Load() {
+		if err := j.syncLocked(); err != nil {
 			j.noteWriteError(err)
 		}
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
-// groupCommit waits until an fsync covers target bytes of the active
-// segment. The first waiter to find no fsync in flight becomes the
-// leader and syncs for everyone queued behind it; a generation bump
-// (rotation sealed the segment, which fsyncs it) satisfies stragglers.
-func (j *Journal) groupCommit(file File, target int64) error {
-	j.cmu.Lock()
-	gen := j.cGen
-	for {
-		if j.cGen != gen {
-			// Rotated away: the seal fsync covered this record.
-			j.cmu.Unlock()
-			return nil
-		}
-		if j.cErr != nil {
-			err := j.cErr
-			j.cmu.Unlock()
-			return err
-		}
-		if j.cSynced >= target {
-			j.cmu.Unlock()
-			return nil
-		}
-		if !j.cBusy {
-			j.cBusy = true
-			high := j.cWritten
-			j.cmu.Unlock()
-			start := time.Now()
-			err := file.Sync()
-			j.observeFsync(time.Since(start))
-			j.cmu.Lock()
-			j.cBusy = false
-			if err != nil {
-				j.cErr = err
-			} else if j.cGen == gen && high > j.cSynced {
-				j.cSynced = high
-			}
-			j.ccond.Broadcast()
-			continue
-		}
-		j.ccond.Wait()
-	}
-}
-
-func (j *Journal) observeFsync(d time.Duration) {
+// syncLocked fsyncs the active segment and times it. Caller holds j.mu.
+func (j *Journal) syncLocked() error {
+	start := time.Now()
+	err := j.active.Sync()
 	j.c.fsyncs.Add(1)
 	if j.fsyncObserve != nil {
-		j.fsyncObserve(d)
+		j.fsyncObserve(time.Since(start))
 	}
+	return err
 }
 
 // rotateLocked seals the active segment (fsync, close, manifest) and
 // installs a fresh one. Caller holds j.mu.
 func (j *Journal) rotateLocked() error {
-	// Quiesce group commit on the old file, then retire its generation:
-	// waiters see the gen bump and trust the seal fsync below.
-	j.cmu.Lock()
-	for j.cBusy {
-		j.ccond.Wait()
-	}
-	j.cGen++
-	j.cWritten = 0
-	j.cSynced = 0
-	j.cErr = nil
-	j.ccond.Broadcast()
-	j.cmu.Unlock()
-
-	start := time.Now()
-	err := j.active.Sync()
-	j.observeFsync(time.Since(start))
-	if err != nil {
+	if err := j.syncLocked(); err != nil {
 		return fmt.Errorf("journal: sealing %s: %w", j.actName, err)
 	}
 	if err := j.active.Close(); err != nil {
 		return fmt.Errorf("journal: sealing %s: %w", j.actName, err)
 	}
 	base, _ := parseSegmentName(j.actName)
-	j.sealed = append(j.sealed, manifestSegment{
-		Name: j.actName, BaseSeq: base, LastSeq: j.nextSeq - 1, Head: hashHex(j.head),
+	j.noteSealedLocked(manifestSegment{
+		Name: j.actName, BaseSeq: base, LastSeq: j.nextSeq.Load() - 1, Head: hashHex(j.head),
 	})
 	// Order matters for crash-recovery: the new segment appears on disk
 	// before the manifest lists the old one as sealed, so a crash
@@ -448,11 +391,22 @@ func (j *Journal) rotateLocked() error {
 	if err := j.newSegmentLocked(); err != nil {
 		return err
 	}
-	if err := writeManifest(j.opts.FS, j.dir, manifest{Sealed: j.sealed}); err != nil {
+	if err := writeManifest(j.opts.FS, j.dir, manifest{Sealed: j.sealedEnds}); err != nil {
 		return fmt.Errorf("journal: manifest update: %w", err)
 	}
 	j.c.rotated.Add(1)
 	return nil
+}
+
+// noteSealedLocked counts one more sealed segment and makes it the last
+// of the manifest's two ends. Caller holds j.mu (or is Open).
+func (j *Journal) noteSealedLocked(s manifestSegment) {
+	if len(j.sealedEnds) < 2 {
+		j.sealedEnds = append(j.sealedEnds, s)
+	} else {
+		j.sealedEnds[1] = s
+	}
+	j.sealedN.Add(1)
 }
 
 // shedLocked routes one record into the degraded-mode ring, evicting
@@ -460,7 +414,7 @@ func (j *Journal) rotateLocked() error {
 func (j *Journal) shedLocked(rec Record) {
 	// Shed records stay on the in-memory chain so the sequence numbers
 	// and hashes remain consistent if they are later exported.
-	j.nextSeq++
+	j.nextSeq.Add(1)
 	j.head = rec.Hash
 	if len(j.ring) >= j.opts.RingSize {
 		copy(j.ring, j.ring[1:])
@@ -470,11 +424,6 @@ func (j *Journal) shedLocked(rec Record) {
 	j.ring = append(j.ring, rec)
 	j.c.shed.Add(1)
 	j.audit.note(rec)
-}
-
-func (j *Journal) enterDegradedLocked(err error) {
-	j.noteWriteError(err)
-	j.degraded.Store(true)
 }
 
 func (j *Journal) noteWriteError(err error) {
@@ -495,35 +444,17 @@ func (j *Journal) syncLoop() {
 			return
 		case <-t.C:
 			j.mu.Lock()
-			file := j.active
-			closed := j.closed || j.degraded.Load()
+			if !j.closed && !j.degraded.Load() {
+				if err := j.syncLocked(); err != nil {
+					j.noteWriteError(err)
+				}
+			}
 			j.mu.Unlock()
-			if closed || file == nil {
-				continue
-			}
-			start := time.Now()
-			// Serialize with rotation via the group-commit lock so the
-			// ticker never fsyncs a just-closed file.
-			j.cmu.Lock()
-			for j.cBusy {
-				j.ccond.Wait()
-			}
-			j.cBusy = true
-			j.cmu.Unlock()
-			err := file.Sync()
-			j.cmu.Lock()
-			j.cBusy = false
-			j.ccond.Broadcast()
-			j.cmu.Unlock()
-			j.observeFsync(time.Since(start))
-			if err != nil {
-				j.noteWriteError(err)
-			}
 		}
 	}
 }
 
-// Close seals the journal: final fsync, manifest flush, file close.
+// Close seals the journal: final fsync, file close.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	if j.closed {
@@ -533,25 +464,15 @@ func (j *Journal) Close() error {
 	j.closed = true
 	file := j.active
 	j.active = nil
-	degraded := j.degraded.Load()
 	j.mu.Unlock()
+	// With closed set nothing else touches file; the ticker takes mu, so
+	// it is stopped without holding it.
 	if j.stopSync != nil {
 		close(j.stopSync)
 		<-j.syncDone
 	}
-	if file == nil {
-		return nil
-	}
-	// Quiesce in-flight group commits before touching the file handle.
-	j.cmu.Lock()
-	for j.cBusy {
-		j.ccond.Wait()
-	}
-	j.cGen++
-	j.ccond.Broadcast()
-	j.cmu.Unlock()
 	var err error
-	if !degraded && j.opts.Fsync != SyncNever {
+	if !j.degraded.Load() && j.opts.Fsync != SyncNever {
 		err = file.Sync()
 	}
 	if cerr := file.Close(); err == nil {
@@ -594,11 +515,9 @@ func (j *Journal) Counters() Counters {
 }
 
 // NextSeq returns the sequence number the next appended record gets.
-func (j *Journal) NextSeq() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.nextSeq
-}
+// It does not wait for an in-flight commit, so health probes and
+// scrapes stay live while the disk is slow.
+func (j *Journal) NextSeq() uint64 { return j.nextSeq.Load() }
 
 // Head returns the chain head hash (zero before the first record).
 func (j *Journal) Head() [32]byte {
@@ -621,8 +540,4 @@ func (j *Journal) Dir() string { return j.dir }
 
 // SealedSegments returns the count of sealed (rotation-retired)
 // segments.
-func (j *Journal) SealedSegments() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.sealed)
-}
+func (j *Journal) SealedSegments() int { return int(j.sealedN.Load()) }

@@ -1,6 +1,6 @@
 // Journal core tests: record framing, append/recover round trips,
-// rotation + manifest bookkeeping, group commit under concurrency, the
-// atomic-write helper, and degraded-mode shedding. All must pass under
+// rotation + manifest bookkeeping, batch commits and concurrent appends,
+// the atomic-write helper, and degraded-mode shedding. All must pass under
 // -race; the crash/corruption matrix lives in recovery_test.go.
 package journal
 
@@ -152,14 +152,25 @@ func TestRotationAndManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := loadManifest(OSFS, dir)
-	if uint64(len(m.Sealed)) != c.Rotated {
-		t.Fatalf("manifest lists %d sealed, want %d", len(m.Sealed), c.Rotated)
+	// The manifest lists the two ends of the sealed run, whatever its
+	// length: the first segment and the one the active segment follows.
+	rep, err := ScanDir(nil, dir)
+	if err != nil || rep.Break != nil || uint64(rep.Segments) != c.Rotated+1 {
+		t.Fatalf("scan: %d segments, break=%v, err=%v", rep.Segments, rep.Break, err)
 	}
-	for i := 1; i < len(m.Sealed); i++ {
-		if m.Sealed[i].BaseSeq != m.Sealed[i-1].LastSeq+1 {
-			t.Fatalf("manifest gap between %+v and %+v", m.Sealed[i-1], m.Sealed[i])
-		}
+	active := finalSegment(t, dir)
+	activeBase, _ := parseSegmentName(active)
+	m := loadManifest(OSFS, dir)
+	if len(m.Sealed) != 2 {
+		t.Fatalf("manifest lists %d sealed, want the first and the last", len(m.Sealed))
+	}
+	if first := m.Sealed[0]; first.Name != segmentName(1) || first.BaseSeq != 1 {
+		t.Fatalf("manifest's first sealed segment = %+v", first)
+	}
+	last := m.Sealed[1]
+	if last.LastSeq+1 != activeBase || last.Name == active ||
+		last.Head != hashHex(rep.Records[last.LastSeq-1].Hash) {
+		t.Fatalf("manifest's last sealed segment %+v does not precede %s", last, active)
 	}
 
 	j2 := mustOpen(t, dir, Options{})
@@ -198,7 +209,9 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 }
 
-func TestGroupCommitConcurrentAppends(t *testing.T) {
+// TestConcurrentAppendsSerialize: Append stays safe for concurrent use;
+// under SyncEach each call is one commit with its own fsync.
+func TestConcurrentAppendsSerialize(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, Options{Fsync: SyncEach})
 	const workers, per = 8, 12
@@ -219,8 +232,8 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	if c.Appended != workers*per {
 		t.Fatalf("appended %d, want %d", c.Appended, workers*per)
 	}
-	if c.Fsyncs == 0 || c.Fsyncs > c.Appended+1 {
-		t.Fatalf("fsyncs %d out of range for %d appends", c.Fsyncs, c.Appended)
+	if c.Fsyncs != c.Appended {
+		t.Fatalf("fsyncs %d for %d single-entry appends", c.Fsyncs, c.Appended)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -229,6 +242,51 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	if err != nil || rep.Break != nil || len(rep.Records) != workers*per {
 		t.Fatalf("recovery after concurrent appends: %d records, break=%v, err=%v",
 			len(rep.Records), rep.Break, err)
+	}
+}
+
+// TestAppendBatchOneFsync: a batch is one commit — one fsync under
+// SyncEach, plus a seal fsync for each rotation it crosses — and an
+// entry that does not encode is skipped without losing the rest.
+func TestAppendBatchOneFsync(t *testing.T) {
+	for _, segBytes := range []int64{0, 512} {
+		t.Run(fmt.Sprintf("segment%dB", segBytes), func(t *testing.T) {
+			dir := t.TempDir()
+			j := mustOpen(t, dir, Options{Fsync: SyncEach, SegmentBytes: segBytes})
+			const n = 20
+			batch := make([]Entry, n)
+			for i := range batch {
+				batch[i] = testEntry(i)
+			}
+			if err := j.AppendBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			c := j.Counters()
+			if c.Appended != n || c.Fsyncs != c.Rotated+1 {
+				t.Fatalf("batch of %d: counters = %+v", n, c)
+			}
+			if segBytes > 0 && c.Rotated == 0 {
+				t.Fatal("batch crossed no rotation")
+			}
+			if err := j.AppendBatch([]Entry{testEntry(n), {}, testEntry(n + 1)}); !errors.Is(err, ErrBadRecord) {
+				t.Fatalf("batch with a zero-kind entry: err = %v", err)
+			}
+			if c2 := j.Counters(); c2.Appended != n+2 || c2.Fsyncs != c2.Rotated+2 {
+				t.Fatalf("after the second batch: counters = %+v", c2)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := ScanDir(nil, dir)
+			if err != nil || rep.Break != nil || len(rep.Records) != n+2 {
+				t.Fatalf("scan: %d records, break=%v, err=%v", len(rep.Records), rep.Break, err)
+			}
+			for i, rec := range rep.Records {
+				if rec.Detail != testEntry(i).Detail {
+					t.Fatalf("record %d is %q, want %q", i, rec.Detail, testEntry(i).Detail)
+				}
+			}
+		})
 	}
 }
 

@@ -36,7 +36,7 @@ func (j *Journal) RegisterMetrics(reg *obs.Registry) {
 			func(c Counters) uint64 { return c.RingDropped }},
 		{"raptrack_journal_write_errors_total", "Disk write, sync and rotation failures observed.",
 			func(c Counters) uint64 { return c.WriteErrors }},
-		{"raptrack_journal_fsyncs_total", "Fsyncs issued (group commit shares them across appenders).",
+		{"raptrack_journal_fsyncs_total", "Fsyncs issued: one per committed batch, rotation seal or interval tick.",
 			func(c Counters) uint64 { return c.Fsyncs }},
 	} {
 		read := m.read

@@ -242,20 +242,47 @@ func TestRecoveryRotationInterrupted(t *testing.T) {
 }
 
 func TestRecoverySealedSegmentDeleted(t *testing.T) {
-	dir, _ := buildJournal(t, 20, true)
-	m := loadManifest(OSFS, dir)
-	if len(m.Sealed) == 0 {
-		t.Fatal("no sealed segments")
+	// Either end the manifest lists: the oldest evidence, or the newest
+	// sealed segment.
+	for _, end := range []int{0, 1} {
+		t.Run(fmt.Sprintf("end%d", end), func(t *testing.T) {
+			dir, _ := buildJournal(t, 20, true)
+			m := loadManifest(OSFS, dir)
+			if len(m.Sealed) != 2 {
+				t.Fatalf("manifest lists %d sealed segments, want 2", len(m.Sealed))
+			}
+			victim := m.Sealed[end].Name
+			if err := os.Remove(filepath.Join(dir, victim)); err != nil {
+				t.Fatal(err)
+			}
+			// Deleting evidence must never look like a fresh journal.
+			if _, err := Open(dir, Options{}); err == nil {
+				t.Fatal("open accepted a deleted sealed segment")
+			} else if !strings.Contains(err.Error(), "missing") {
+				t.Fatalf("unexpected error: %v", err)
+			}
+		})
 	}
-	victim := m.Sealed[0].Name
+}
+
+// TestRecoveryMiddleSealedSegmentDeleted: the manifest lists only the
+// two ends of the sealed run, so a segment deleted between them is
+// caught by the chain itself — the next segment's header does not
+// continue from what precedes the gap.
+func TestRecoveryMiddleSealedSegmentDeleted(t *testing.T) {
+	dir, _ := buildJournal(t, 30, true)
+	m := loadManifest(OSFS, dir)
+	if len(m.Sealed) != 2 || m.Sealed[1].BaseSeq <= m.Sealed[0].LastSeq+1 {
+		t.Fatalf("want at least three sealed segments, manifest lists %+v", m.Sealed)
+	}
+	victim := segmentName(m.Sealed[0].LastSeq + 1)
 	if err := os.Remove(filepath.Join(dir, victim)); err != nil {
 		t.Fatal(err)
 	}
-	// Deleting evidence must never look like a fresh journal.
-	if _, err := Open(dir, Options{}); err == nil {
-		t.Fatal("open accepted a deleted sealed segment")
-	} else if !strings.Contains(err.Error(), "missing") {
-		t.Fatalf("unexpected error: %v", err)
+	_, err := Open(dir, Options{})
+	var ce *ChainError
+	if !errors.As(err, &ce) || !strings.Contains(ce.Reason, "does not continue the chain") {
+		t.Fatalf("open after deleting %s: %v", victim, err)
 	}
 }
 

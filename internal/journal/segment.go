@@ -26,10 +26,13 @@ const (
 var segmentMagic = []byte("RTJS")
 
 // manifestName is the sealed-segment index, written atomically after
-// every rotation. It is advisory for chain validation (segments
-// self-describe) but load-bearing for deletion detection: a sealed
-// segment listed here but missing on disk is a chain break, not a
-// fresh journal.
+// every rotation. It lists only the first and the last sealed segment,
+// so its size does not grow with the journal; a manifest listing every
+// sealed segment (the earlier format) loads the same way. It is
+// advisory for chain validation (segments self-describe) but
+// load-bearing for deletion detection: a listed segment missing on disk
+// is a chain break, not a fresh journal, and a segment deleted between
+// the two ends breaks the chain at the next segment's header.
 const manifestName = "MANIFEST"
 
 func segmentName(base uint64) string { return fmt.Sprintf("journal-%016x.seg", base) }

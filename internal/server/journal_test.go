@@ -5,12 +5,17 @@
 package server_test
 
 import (
+	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"raptrack/internal/attest"
 	"raptrack/internal/faults"
 	"raptrack/internal/journal"
+	"raptrack/internal/remote"
 	"raptrack/internal/server"
 )
 
@@ -140,4 +145,194 @@ func TestGatewayJournalFsyncStormNeverFailsSessions(t *testing.T) {
 	if in.Counts().DiskFsyncErrs == 0 {
 		t.Fatal("injector recorded no fsync errors")
 	}
+}
+
+// journalQueueDepth reads raptrack_journal_queue_depth from the
+// gateway's exposition.
+func journalQueueDepth(t *testing.T, g *server.Gateway) int {
+	t.Helper()
+	var b strings.Builder
+	if err := g.Observer().Registry().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "raptrack_journal_queue_depth "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("raptrack_journal_queue_depth %q: %v", v, err)
+			}
+			return n
+		}
+	}
+	t.Fatal("no raptrack_journal_queue_depth in the exposition")
+	return 0
+}
+
+// waitJournalQueue polls until the committer has committed every record
+// handed to it.
+func waitJournalQueue(t *testing.T, g *server.Gateway) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for journalQueueDepth(t, g) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("journal queue still holds %d records", journalQueueDepth(t, g))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// attestAs runs one prime session announcing device, failing the test
+// unless it is accepted.
+func attestAs(t *testing.T, ep *remote.ProverEndpoint, addr, device string) {
+	t.Helper()
+	gv, err := remote.NewClient(ep, remote.WithDevice(device)).Attest(dial(t, addr), "prime")
+	if err != nil {
+		t.Fatalf("session %s: %v", device, err)
+	}
+	if !gv.OK {
+		t.Fatalf("session %s rejected: %s", device, gv.Reason())
+	}
+}
+
+// stalledJournalGateway opens a SyncEach journal over a disk whose every
+// fsync stalls for stall once armed (it starts disarmed), and serves
+// prime with two verify workers; one warm-up session has filled the
+// verdict cache and its records are committed.
+func stalledJournalGateway(t *testing.T, seed uint64, stall time.Duration) (*faults.DiskFS, *faults.Injector, *journal.Journal, *server.Gateway, string, *remote.ProverEndpoint) {
+	t.Helper()
+	dir := t.TempDir()
+	in := faults.New(seed, faults.Plan{DiskFsyncStall: 1, DiskFsyncStallFor: stall})
+	fs := in.WrapFS(nil)
+	fs.Disarm()
+	j, err := journal.Open(dir, journal.Options{FS: fs, Fsync: journal.SyncEach})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Registered before startGateway so LIFO cleanup closes the gateway
+	// (and drains its committer) before the journal.
+	t.Cleanup(func() { _ = j.Close() })
+	g, addr, ep := startGateway(t, []server.Option{server.WithJournal(j), server.WithVerifyWorkers(2, 0)}, "prime")
+	attestAs(t, ep, addr, "warm-up")
+	waitStats(t, g, func(s server.Stats) bool { return s.VerdictOK == 1 })
+	waitJournalQueue(t, g)
+	return fs, in, j, g, addr, ep
+}
+
+// verdictDevices lists the devices of the verdict records under dir, in
+// journal order.
+func verdictDevices(t *testing.T, dir string) []string {
+	t.Helper()
+	rep, err := journal.ScanDir(nil, dir)
+	if err != nil || rep.Break != nil {
+		t.Fatalf("scan: break=%v, err=%v", rep.Break, err)
+	}
+	var devices []string
+	for _, rec := range rep.Records {
+		if rec.Kind == journal.KindVerdict {
+			devices = append(devices, rec.Device)
+		}
+	}
+	return devices
+}
+
+// TestGatewayJournalFsyncStallKeepsWorkersFree gates the journal
+// committer: with every fsync stalled for two seconds and two verify
+// workers, one client's 16 back-to-back sessions all get their verdicts
+// within one stall, because workers hand records to the committer
+// instead of waiting for them to be durable. Were each worker to commit
+// its own record, the third session would already wait a full stall.
+// After Close the journal holds all 16, and one fsync covered at least
+// two records on average.
+func TestGatewayJournalFsyncStallKeepsWorkersFree(t *testing.T) {
+	// 16 warm sessions take about 0.3 s under -race on 2 vCPUs.
+	const stall = 2 * time.Second
+	fs, in, j, g, addr, ep := stalledJournalGateway(t, 5, stall)
+	fs.Arm()
+	const sessions = 16
+	var want []string
+	start := time.Now()
+	for i := 0; i < sessions; i++ {
+		want = append(want, fmt.Sprintf("dev-%02d", i))
+		attestAs(t, ep, addr, want[i])
+	}
+	took := time.Since(start)
+	fs.Disarm() // the stall in flight is the last one
+	t.Logf("%d sessions in %v", sessions, took)
+	if took >= stall {
+		t.Fatalf("%d sessions took %v under a %v fsync stall: workers waited on the journal", sessions, took, stall)
+	}
+	if in.Counts().DiskFsyncStalls == 0 {
+		t.Fatal("no fsync stalled")
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c := j.Counters()
+	if c.Fsyncs*2 > c.Appended {
+		t.Fatalf("%d fsyncs for %d records: the committer did not batch", c.Fsyncs, c.Appended)
+	}
+	if got := verdictDevices(t, j.Dir()); !slices.Equal(got[1:], want) {
+		t.Fatalf("journaled verdicts %v, want warm-up then %v", got, want)
+	}
+}
+
+// TestGatewayJournalCrashWhileRecordsQueued adds queued-but-not-durable
+// to the crash matrix: power fails while the committer sits in a stalled
+// fsync with delivered verdicts queued behind it. Recovery finds no
+// chain break; the verdicts it keeps are a prefix of the delivery order;
+// and it loses no more of them than raptrack_journal_queue_depth read at
+// the crash — at most commitQueue queued plus one batch, as no worker
+// was waiting for queue space.
+func TestGatewayJournalCrashWhileRecordsQueued(t *testing.T) {
+	const stall = 2 * time.Second
+	fs, in, j, g, addr, ep := stalledJournalGateway(t, 9, stall)
+	delivered := []string{"warm-up"}
+	for i := 0; i < 4; i++ {
+		delivered = append(delivered, fmt.Sprintf("durable-%d", i))
+		attestAs(t, ep, addr, delivered[len(delivered)-1])
+	}
+	waitJournalQueue(t, g)
+	fs.Arm()
+	for i := 0; i < 12; i++ {
+		delivered = append(delivered, fmt.Sprintf("queued-%02d", i))
+		attestAs(t, ep, addr, delivered[len(delivered)-1])
+	}
+	for deadline := time.Now().Add(5 * time.Second); in.Counts().DiskFsyncStalls == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the committer never reached a stalled fsync")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	depth := journalQueueDepth(t, g)
+	if depth == 0 || depth > 2*server.CommitQueue {
+		t.Fatalf("journal queue depth %d at the crash, want 1..%d", depth, 2*server.CommitQueue)
+	}
+	if err := fs.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	// The stalled fsync and every later write fail: the power is off.
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_ = j.Close()
+
+	j2, err := journal.Open(j.Dir(), journal.Options{})
+	if err != nil {
+		t.Fatalf("reopen after the crash: %v", err)
+	}
+	if c := j2.Counters(); c.ChainBreaks != 0 {
+		t.Fatalf("recovery counters = %+v", c)
+	}
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := verdictDevices(t, j.Dir())
+	if len(got) > len(delivered) || !slices.Equal(got, delivered[:len(got)]) {
+		t.Fatalf("recovered verdicts %v are not a prefix of the delivery order %v", got, delivered)
+	}
+	missing := len(delivered) - len(got)
+	if missing == 0 || missing > depth {
+		t.Fatalf("crash lost %d delivered verdicts; the queue depth read %d", missing, depth)
+	}
+	t.Logf("crash kept %d of %d delivered verdicts; queue depth %d", len(got), len(delivered), depth)
 }

@@ -116,6 +116,11 @@ func (g *Gateway) registerMetrics() *gatewayMetrics {
 	r.GaugeFunc("raptrack_verify_queue_depth",
 		"Verification jobs waiting for a pool worker.",
 		func() float64 { return float64(len(g.jobs)) })
+	r.GaugeFunc("raptrack_journal_queue_depth",
+		"Journal records handed to the committer and not yet committed: queued, "+
+			"in the batch being written, or waiting for queue space. Under the SyncEach "+
+			"fsync policy, the most delivered verdicts a crash could lose right now.",
+		func() float64 { return float64(g.pending.Load()) })
 
 	verdicts := r.CounterVec("raptrack_verdicts_total",
 		"Session verdicts delivered, by class.", "verdict")

@@ -217,10 +217,14 @@ func WithObserver(o *obs.Observer) Option {
 // committed to j together with the complete evidence bytes, and every
 // live dictionary version (registration seed and each mining promotion)
 // is journaled so a later replay expands each session with exactly the
-// dictionary its prover compressed with. The gateway never blocks a
-// session on the journal and never dies on journal failure: a broken
-// disk degrades the journal (Health reports it; records shed to its
-// bounded ring) while sessions keep verifying.
+// dictionary its prover compressed with. One committer goroutine owns
+// j: verify workers deliver each verdict, hand its record to a bounded
+// queue and take their next job, so they block only on a full queue,
+// never on an fsync. A verdict is therefore delivered before its record
+// is durable; raptrack_journal_queue_depth bounds what a crash can lose.
+// The gateway never dies on journal failure: a broken disk degrades the
+// journal (Health reports it; records shed to its bounded ring) while
+// sessions keep verifying. Close the gateway before j.
 func WithJournal(j *journal.Journal) Option {
 	return func(s *settings) { s.cfg.Journal = j }
 }

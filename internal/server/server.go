@@ -148,12 +148,20 @@ type Gateway struct {
 	jobs  chan verifyJob
 	heals *healRegistry // per-device healing state machine (streaming)
 
+	// commits feeds the journal committer (nil without a journal);
+	// committed closes once the committer has drained it. pending counts
+	// records handed off and not yet committed.
+	commits   chan pendingRecord
+	committed chan struct{}
+	pending   atomic.Int64
+
 	sessions sync.WaitGroup
 	workers  sync.WaitGroup
 }
 
 // New builds a gateway from functional options (see Option) and starts
-// its verification worker pool. With no options every default applies
+// its verification worker pool, plus the journal committer when a
+// journal is attached. With no options every default applies
 // and a private observer is created, exactly as documented on each
 // option.
 func New(opts ...Option) *Gateway {
@@ -183,6 +191,11 @@ func newGateway(s settings) *Gateway {
 	for i := 0; i < cfg.VerifyWorkers; i++ {
 		go g.worker()
 	}
+	if cfg.Journal != nil {
+		g.commits = make(chan pendingRecord, commitQueue)
+		g.committed = make(chan struct{})
+		go g.commit()
+	}
 	return g
 }
 
@@ -196,8 +209,20 @@ func (g *Gateway) Observer() *obs.Observer { return g.obs }
 // Verifier's own if it already carries one, a fresh per-app cache
 // otherwise — and the Verifier's provisioned speculation dictionary seeds
 // the app's live dictionary. Safe to call while serving; re-registering
-// replaces (and resets the live dictionary and mining cadence).
+// replaces (and resets the live dictionary and mining cadence). After
+// Close it does nothing.
 func (g *Gateway) Register(app string, v *verify.Verifier) {
+	// Hold a session reference, as ServeConn does, so Close waits for the
+	// dictionary record below before it closes the commit queue.
+	g.mu.Lock()
+	if g.closed {
+		g.mu.Unlock()
+		return
+	}
+	g.sessions.Add(1)
+	g.mu.Unlock()
+	defer g.sessions.Done()
+
 	if g.cfg.CacheBytes >= 0 && v.Cache() == nil {
 		v = v.With(verify.WithCache(verify.NewCache(g.cfg.CacheBytes)))
 	}
@@ -323,8 +348,9 @@ func (g *Gateway) isClosed() bool {
 	return g.closed
 }
 
-// Close stops accepting, waits for in-flight sessions, and drains the
-// worker pool. Idempotent.
+// Close stops accepting, waits for in-flight sessions, drains the worker
+// pool, then lets the journal committer commit every queued record.
+// Idempotent. Close the journal after the gateway.
 func (g *Gateway) Close() error {
 	g.mu.Lock()
 	if g.closed {
@@ -341,6 +367,11 @@ func (g *Gateway) Close() error {
 	g.sessions.Wait()
 	close(g.jobs)
 	g.workers.Wait()
+	// Workers and Register were the only senders, and both are done.
+	if g.commits != nil {
+		close(g.commits)
+		<-g.committed
+	}
 	return nil
 }
 
@@ -702,9 +733,10 @@ func (g *Gateway) runJob(job verifyJob) {
 		g.m.breakerCloses.Inc()
 	}
 	job.resp <- res
-	// Evidence-plane commit after delivery: the session never waits on
-	// storage, and every outcome — acceptance, typed rejection, or
-	// evidence error — leaves a hash-chained record.
+	// Hand the record to the journal committer after delivery: the
+	// session never waits on storage, and the worker waits only while
+	// commitQueue records are already queued. Every outcome — acceptance,
+	// typed rejection, or evidence error — leaves a hash-chained record.
 	g.journalVerdict(job, res)
 	if res.err == nil && res.verdict.OK {
 		// Mine after delivery: the session is not kept waiting on
@@ -777,6 +809,8 @@ func (g *Gateway) promote(st *appState, mined *speccfa.Dictionary, vd *verify.Ve
 	// version ships as a consistent dictionary+machine pair. The version is
 	// journaled before it is published, so its record precedes every
 	// verdict that names it (replay resolves versions in journal order).
+	// It is queued under dictMu so versions reach the journal in order; the
+	// committer never takes dictMu, so a full queue only delays this.
 	next := &dictState{version: cur.version + 1, dict: checked, encoded: encoded, aut: st.compileAut(checked)}
 	g.journalDict(st.name, next.version, encoded)
 	st.dict.Store(next)
